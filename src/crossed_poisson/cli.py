@@ -618,6 +618,11 @@ def cmd_solve_b(args):
     report = Report("solve-b")
     try:
         result = pbw.solve_b(pair)
+    except InvarianceError as e:
+        report.line(f"invariance: fail ({e})")
+        report.data["invariant"] = False
+        print(report.render(args.format), end="")
+        return 1
     except ValueError as e:
         raise InputError(str(e))
     if not result.feasible:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .scalars import Cyclotomic
+from .linalg import Span
 from .polyvec import (
     PolyVectorField,
     average,
@@ -48,56 +49,6 @@ def _monomials(m, cap):
     rec([], cap)
     out.sort(key=lambda e: (sum(e), e))
     return out
-
-
-def _reduce_against(vec, pivots):
-    """Subtract pivot columns to clear leading keys; returns (residue, combo).
-
-    pivots maps a leading key to (column, meta); combo collects the meta
-    objects with the multiple of each pivot used.
-    """
-    vec = dict(vec)
-    combo = []
-    while vec:
-        lead = min(vec)
-        hit = pivots.get(lead)
-        if hit is None:
-            return vec, combo
-        col, meta = hit
-        c = vec[lead] / col[lead]
-        for key, v in col.items():
-            s = vec.get(key)
-            s = -v * c if s is None else s - v * c
-            if s:
-                vec[key] = s
-            elif key in vec:
-                del vec[key]
-        combo.append((meta, c))
-    return vec, combo
-
-
-class _Span:
-    """A growing echelon span over sparse columns keyed by term keys."""
-
-    def __init__(self):
-        self.pivots = {}
-        self.size = 0
-
-    def insert(self, vec, meta=None):
-        """Returns True if vec enlarged the span."""
-        residue, _ = _reduce_against(vec, self.pivots)
-        if not residue:
-            return False
-        self.pivots[min(residue)] = (residue, meta)
-        self.size += 1
-        return True
-
-    def coordinates(self, vec):
-        """Express vec over the inserted metas; None if outside the span."""
-        residue, combo = _reduce_against(vec, self.pivots)
-        if residue:
-            return None
-        return combo
 
 
 def _vectorize(field):
@@ -136,7 +87,7 @@ class TruncatedComplex:
         group = self.group
         m = group.dim
         fields, degs = [], []
-        span = _Span()
+        span = Span()
         for gi in range(group.order):
             for wedge in combinations(range(m), j):
                 for expo in _monomials(m, self.poly_cap):
@@ -196,14 +147,14 @@ class TruncatedComplex:
         # cocycles among sources of degree <= d
         kernel_fields = []
         mat = self.matrices[k]
-        span = _Span()
+        span = Span()
         for idx, field in enumerate(self.bases[k]):
             if self.degrees[k][idx] > d:
                 continue
             col = {("img", r): c for r, c in mat[idx].items()}
             col[("src", idx)] = _one(self.group)
-            span.insert(col, meta=idx)
-        for lead, (residue, _meta) in sorted(span.pivots.items()):
+            span.insert(col)
+        for residue in span.rows():
             if any(tag == "img" for tag, _ in residue):
                 continue
             combo = [(idx, c) for (_tag, idx), c in residue.items()]
@@ -211,7 +162,7 @@ class TruncatedComplex:
         # boundaries landing in degree <= d, from sources one degree higher
         image_fields = []
         if k > 0:
-            high = _Span()
+            high = Span()
             for idx, field in enumerate(self.bases[k - 1]):
                 img = poisson_differential(self.pair, field)
                 if img.is_zero():
@@ -221,15 +172,15 @@ class TruncatedComplex:
                     tag = "hi" if sum(key[1]) > d else "lo"
                     col[(tag, key)] = c
                 col[("src", idx)] = _one(self.group)
-                high.insert(col, meta=idx)
-            for lead, (residue, _meta) in sorted(high.pivots.items()):
+                high.insert(col)
+            for residue in high.rows():
                 if any(tag == "hi" for tag, _ in residue):
                     continue
                 vec = {key: c for (tag, key), c in residue.items() if tag == "lo"}
                 if vec:
                     image_fields.append(PolyVectorField(self.group, vec))
         # quotient representatives: cocycles independent modulo the boundaries
-        mod = _Span()
+        mod = Span()
         for field in image_fields:
             mod.insert(_vectorize(field))
         representatives = []
@@ -253,7 +204,7 @@ def _label_dims(fields):
     out = {}
     labels = sorted({gi for f in fields for gi in f.labels()})
     for gi in labels:
-        span = _Span()
+        span = Span()
         for f in fields:
             span.insert(_vectorize(f.restrict_label(gi)))
         out[gi] = span.size

@@ -73,6 +73,9 @@ class MatrixGroup:
                 if self.mul[i][j] == 0:
                     self.inv[i] = j
                     break
+            else:
+                raise ValueError(f"element {self.word_str(i)} has no inverse "
+                                 "in the closure")
         self._geometry: dict[int, ElementGeometry] = {}
         self._classes = None
         self._hermitian = None
@@ -238,16 +241,20 @@ def generate(generators, conductor, max_order=512):
     """BFS-generate the matrix group spanned by the given matrices.
 
     generators: sequence of square matrices (rows of Cyclotomic or rationals).
-    Raises GroupOrderError if the closure exceeds max_order elements.
+    Raises ValueError for a generator that is not invertible (it would close
+    into a monoid) and GroupOrderError if the closure exceeds max_order
+    elements.
     """
     if not generators:
         raise ValueError("need at least one generator")
     M = conductor
     gens = [_as_matrix(g, M) for g in generators]
     dim = len(gens[0])
-    for g in gens:
+    for k, g in enumerate(gens):
         if len(g) != dim or any(len(row) != dim for row in g):
             raise ValueError("generators must be square matrices of equal size")
+        if linalg.rank(g) < dim:
+            raise ValueError(f"generator {k} is not invertible")
     ident = tuple(tuple(Cyclotomic.one(M) if r == c else Cyclotomic.zero(M)
                         for c in range(dim)) for r in range(dim))
     elements = [ident]

@@ -1,10 +1,14 @@
-"""Exact dense linear algebra over a cyclotomic field.
+"""Exact sparse linear algebra over a cyclotomic field.
 
-Matrices are lists of lists of Cyclotomic.  Elimination is fraction-free in
-the Bareiss style: the forward pass multiplies before dividing by the previous
-pivot, so every intermediate entry stays in the ring generated by the input
-and rank decisions are exact by construction.  Sizes here are tiny (the
-complexes are truncated), so no effort is spent on asymptotics.
+A sparse vector is a dict {key: Cyclotomic} holding nonzero entries only;
+keys are column indices for the matrices here and term keys for the cochain
+spaces of cohom.  Every elimination runs on one Span: each inserted vector is
+reduced against the stored ones and, if anything is left, stored under its
+smallest key, its pivot.  Pivots are therefore taken in column order, so the
+pivot columns of a matrix are its first independent columns, and a solution
+read with the free variables at zero is the one the reduced row echelon form
+gives.  Dense matrices (lists of lists) are accepted at the public entry
+points and converted row by row.
 """
 
 from __future__ import annotations
@@ -58,48 +62,107 @@ def mat_eq(A, B):
     return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
 
 
-def _echelon(rows, ncols):
-    """Fraction-free row echelon form.
+class Span:
+    """A growing echelon span of sparse vectors.
 
-    Returns (echelon_rows, pivot_cols).  echelon_rows[r] has its leading
-    nonzero entry in column pivot_cols[r]; rows of zeros are dropped.
+    pivots maps each pivot key to (vector, meta, inverse of the vector's entry
+    at the pivot); the vector's other keys are all larger than its pivot.
     """
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    prev_inv = None  # inverse of the previous pivot, for the Bareiss division
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
+
+    def __init__(self):
+        self.pivots = {}
+
+    @property
+    def size(self):
+        return len(self.pivots)
+
+    def reduce(self, vec):
+        """Clear the pivot keys off vec, smallest first; returns (residue, combo).
+
+        The residue is empty or leads at a key that is no pivot; combo lists
+        (meta, c) for each stored vector subtracted c times.
+        """
+        vec = dict(vec)
+        combo = []
+        pivots = self.pivots
+        while vec:
+            lead = min(vec)
+            hit = pivots.get(lead)
+            if hit is None:
                 break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            head = rows[i][c]
-            if head:
-                new = [piv * b - head * a for a, b in zip(rows[r], rows[i])]
-            else:
-                new = [piv * b for b in rows[i]]
-            if prev_inv is not None:
-                new = [b * prev_inv for b in new]
-            rows[i] = new
-        pivots.append(c)
-        prev_inv = piv.invert()
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+            row, meta, inv = hit
+            c = vec[lead] * inv
+            for key, v in row.items():
+                s = vec.get(key)
+                s = -v * c if s is None else s - v * c
+                if s:
+                    vec[key] = s
+                elif key in vec:
+                    del vec[key]
+            combo.append((meta, c))
+        return vec, combo
+
+    def insert(self, vec, meta=None):
+        """Returns True if vec enlarged the span."""
+        residue, _ = self.reduce(vec)
+        if not residue:
+            return False
+        lead = min(residue)
+        self.pivots[lead] = (residue, meta, residue[lead].invert())
+        return True
+
+    def coordinates(self, vec):
+        """Express vec over the inserted metas; None if outside the span."""
+        residue, combo = self.reduce(vec)
+        if residue:
+            return None
+        return combo
+
+    def rows(self):
+        """The stored vectors in pivot order."""
+        return [self.pivots[lead][0] for lead in sorted(self.pivots)]
+
+
+def _sparse(row):
+    return {j: a for j, a in enumerate(row) if a}
+
+
+def _echelon(rows, ncols):
+    """Eliminate a list of sparse rows; returns (span, rank).
+
+    Each pivot's meta is the index of the row it came from.  rank counts the
+    pivots in columns below ncols; a row may carry entries at ncols and past
+    it (a right-hand side, an identity block), whose pivots are not counted.
+    """
+    span = Span()
+    for i, row in enumerate(rows):
+        span.insert(row, i)
+    return span, sum(1 for c in span.pivots if c < ncols)
+
+
+def _reduced(span):
+    """The reduced echelon rows {pivot: row}: 1 at the pivot, 0 at the others."""
+    out = {}
+    for lead in sorted(span.pivots, reverse=True):
+        row, _, inv = span.pivots[lead]
+        row = {key: v * inv for key, v in row.items()}
+        for c in [c for c in row if c != lead and c in out]:
+            f = row[c]
+            for key, v in out[c].items():
+                s = row.get(key)
+                s = -v * f if s is None else s - v * f
+                if s:
+                    row[key] = s
+                elif key in row:
+                    del row[key]
+        out[lead] = row
+    return out
 
 
 def rank(A):
     if not A:
         return 0
-    _, pivots = _echelon(A, len(A[0]))
-    return len(pivots)
+    return _echelon([_sparse(r) for r in A], len(A[0]))[1]
 
 
 def mat_inv(A, M):
@@ -107,112 +170,69 @@ def mat_inv(A, M):
     n = len(A)
     one = Cyclotomic.one(M)
     zero = Cyclotomic.zero(M)
-    aug = [list(A[i]) + [one if i == j else zero for j in range(n)]
-           for i in range(n)]
-    R, pivots = rref(aug)
-    if pivots[:n] != list(range(n)) or len(pivots) != n:
+    aug = []
+    for i, row in enumerate(A):
+        r = _sparse(row)
+        r[n + i] = one
+        aug.append(r)
+    span, r = _echelon(aug, n)
+    if r != n:
         raise ValueError("singular matrix")
-    return [row[n:] for row in R]
-
-
-def rref(A):
-    """Reduced row echelon form (pivots normalized to 1, cleared above)."""
-    if not A:
-        return [], []
-    ncols = len(A[0])
-    ech, pivots = _echelon(A, ncols)
-    for r in range(len(ech) - 1, -1, -1):
-        c = pivots[r]
-        inv = ech[r][c].invert()
-        ech[r] = [a * inv for a in ech[r]]
-        for i in range(r):
-            f = ech[i][c]
-            if f:
-                ech[i] = [a - f * b for a, b in zip(ech[i], ech[r])]
-    return ech, pivots
+    R = _reduced(span)
+    return [[R[i].get(n + j, zero) for j in range(n)] for i in range(n)]
 
 
 def kernel_basis(A, ncols, M):
-    """Basis of the right kernel of A (rows may be empty; ncols required)."""
+    """Basis of the right kernel of A (rows may be empty; ncols required).
+
+    One vector per free column f, with 1 at f and 0 at the other free columns.
+    """
     zero = Cyclotomic.zero(M)
     one = Cyclotomic.one(M)
-    if not A:
-        return [[one if i == j else zero for i in range(ncols)] for j in range(ncols)]
-    R, pivots = rref(A)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    R = _reduced(_echelon([_sparse(r) for r in A], ncols)[0]) if A else {}
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in R:
+            continue
         v = [zero] * ncols
         v[f] = one
-        for r, c in enumerate(pivots):
-            v[c] = -R[r][f]
+        for c, row in R.items():
+            a = row.get(f)
+            if a:
+                v[c] = -a
         basis.append(v)
     return basis
 
 
 def solve(A, b, M):
-    """One exact solution x of A x = b, or None if inconsistent.
+    """Solve A x = b exactly with one elimination; returns (x, bad_rows, rank).
 
-    Also returns the list of inconsistent row indices (for certificates):
-    (x, []) on success, (None, bad_rows) on failure.
+    rank is the rank of A.  On a consistent system x is the solution with
+    every free variable at zero and bad_rows is empty.  On an inconsistent
+    one x is None and bad_rows lists the rows with a nonzero right-hand side:
+    the reduced echelon form of [A | b] has a pivot in the right-hand column
+    and clears it from every other row, so its reading of x is zero, and
+    these are the equations that reading violates.
     """
     if not A:
-        return ([], []) if not any(bb for bb in b) else (None, [i for i, bb in enumerate(b) if bb])
+        return [], [], 0
     ncols = len(A[0])
-    aug = [list(row) + [bi] for row, bi in zip(A, b)]
-    R, pivots = rref(aug)
+    aug = []
+    for row, bi in zip(A, b):
+        r = _sparse(row)
+        if bi:
+            r[ncols] = bi
+        aug.append(r)
+    span, r = _echelon(aug, ncols)
+    if r < span.size:
+        return None, [i for i, bi in enumerate(b) if bi], r
     zero = Cyclotomic.zero(M)
     x = [zero] * ncols
-    for r, c in enumerate(pivots):
-        if c < ncols:
-            x[c] = R[r][ncols]
-    if any(c == ncols for c in pivots):
-        # inconsistent; x solves the satisfiable part, so the original
-        # equations it violates are exactly the ones worth reporting
-        bad = []
-        for i, (row, bi) in enumerate(zip(A, b)):
-            acc = zero
-            for aij, xj in zip(row, x):
-                if aij and xj:
-                    acc = acc + aij * xj
-            if acc != bi:
-                bad.append(i)
-        return None, bad
-    return x, []
-
-
-def row_space_contains(R, pivots, v):
-    """Reduce v against an rref basis; return the residual vector."""
-    v = list(v)
-    for r, c in enumerate(pivots):
-        f = v[c]
-        if f:
-            v = [a - f * b for a, b in zip(v, R[r])]
-    return v
-
-
-def extend_to_basis(R, pivots, vectors):
-    """Greedily pick vectors independent of the rref row space; returns picks.
-
-    R, pivots are mutated to include the chosen vectors.
-    """
-    picked = []
-    for v in vectors:
-        res = row_space_contains(R, pivots, v)
-        lead = next((c for c, a in enumerate(res) if a), None)
-        if lead is None:
-            continue
-        inv = res[lead].invert()
-        res = [a * inv for a in res]
-        for i in range(len(R)):
-            f = R[i][lead]
-            if f:
-                R[i] = [a - f * b for a, b in zip(R[i], res)]
-        pos = 0
-        while pos < len(pivots) and pivots[pos] < lead:
-            pos += 1
-        R.insert(pos, res)
-        pivots.insert(pos, lead)
-        picked.append(v)
-    return picked
+    for lead in sorted(span.pivots, reverse=True):
+        row, _, inv = span.pivots[lead]
+        s = row.get(ncols, zero)
+        for c, a in row.items():
+            if c != lead and c < ncols and x[c]:
+                s = s - a * x[c]
+        x[lead] = s * inv
+    return x, [], r

@@ -21,12 +21,14 @@ are tested against each other.
 from .scalars import Cyclotomic, HScalar
 from . import linalg
 from .polyvec import (
+    BracketEngine,
     InvarianceError,
     PolyVectorField,
     StructurePair,
     act,
     gen_bracket_pi_pi,
     gen_bracket_b_pi,
+    is_invariant,
     koszul_differential,
 )
 
@@ -492,7 +494,9 @@ def solve_b(pair):
     system; inconsistent rows are translated into per-label certificates.  A
     pi that fails bg1 is rejected up front, since no constant correction can
     repair a cocycle failure.  Any b already present on ``pair`` is ignored.
-    Requires w_b == 2 w_pi so that the bg2 sides couple.
+    Requires w_b == 2 w_pi so that the bg2 sides couple.  A pi that passes
+    bg1 but is not invariant raises InvarianceError before any system is
+    built.
     """
     group = pair.group
     M = group.M
@@ -507,6 +511,8 @@ def solve_b(pair):
         certs = [f"bg1 at {group.word_str(g)}: pi is not a twisted cocycle, "
                  "no constant correction can repair this" for g in bg1_bad]
         return SolveBResult(False, None, 0, certs, [])
+    if not is_invariant(base.pi):
+        raise InvarianceError("linear part pi is not group-invariant")
     candidates = list(range(group.order))
 
     basis = []        # list of (label, PolyVectorField)
@@ -514,10 +520,9 @@ def solve_b(pair):
         for elt in _wedge_basis_at_label(group, gi):
             basis.append((gi, elt))
 
-    Q = gen_bracket_pi_pi(base)
-    bg3_fields = [gen_bracket_b_pi(StructurePair(group, pi=base.pi, b=elt,
-                                                 w_pi=base.w_pi, w_b=base.w_b))
-                  for _, elt in basis]
+    engine = BracketEngine(base.pi)
+    Q = engine.bracket(base.pi)
+    bg3_fields = [engine.bracket(elt) for _, elt in basis]
     inv_gens = group.gen_indices
     inv_fields = [[act(g, elt) - elt for g in inv_gens] for _, elt in basis]
     two = Cyclotomic.rational(M, 2)
@@ -557,11 +562,11 @@ def solve_b(pair):
             return SolveBResult(False, None, 0, sorted(set(bad)), candidates)
         return SolveBResult(True, base, 0, [], candidates)
 
-    sol, bad_rows = linalg.solve(A, rhs, M)
+    sol, bad_rows, rank = linalg.solve(A, rhs, M)
     if sol is None:
         certs = sorted({rows[i][2] for i in bad_rows})
         return SolveBResult(False, None, 0, certs, candidates)
-    free = nunk - linalg.rank([row for row, _, _ in rows])
+    free = nunk - rank
     b = PolyVectorField.zero(group)
     for u, (_, elt) in zip(sol, basis):
         if not u.is_zero():

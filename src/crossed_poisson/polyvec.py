@@ -489,118 +489,135 @@ class StructurePair:
         return is_invariant(self.pi) and is_invariant(self.b)
 
 
-class _BracketEngine:
-    """Evaluator for the label-graded trilinear bracket sum.
+class BracketEngine:
+    """Evaluator for the label-graded trilinear bracket sum against one field.
 
-    For ordered coordinates (a, b, c) it computes, per output label,
+    For ordered coordinates (a, b, c) and an outer field it computes, per
+    output label,
       sum over label pairs (alpha, beta) of
         outer_alpha(inner_beta(x_a, x_b), x_c + beta.x_c) + cyclic,
-    where the inner slot must evaluate to linear polynomials.
+    where the inner field's slots must evaluate to linear polynomials.  The
+    inner field is decomposed once, when the engine is built, so one engine
+    serves every outer field bracketed against it.
     """
 
-    def __init__(self, group, outer_comps, inner_comps):
+    def __init__(self, inner):
+        group = inner.group
         self.group = group
-        m, M = group.dim, group.M
-        self.m, self.M = m, M
-        self.outer = outer_comps
-        self.inner = inner_comps
-        self.units = []
-        for i in range(m):
-            u = [Cyclotomic.zero(M)] * m
-            u[i] = Cyclotomic.one(M)
-            self.units.append(u)
-        # inner pair decompositions and twisted covectors per inner label
-        self.pair_dec = {}
-        self.twisted = {}
-        for beta, comp in inner_comps.items():
+        m = group.dim
+        self.m = m
+        # per inner label: the twisted covectors x_k + beta.x_k, and the
+        # pair decomposition inner(x_a, x_b) = sum of cc * x_t for a < b,
+        # read off the coefficient at wedge (a, b)
+        self.inner = {}
+        for beta, comp in inner.components().items():
             Bm = group.matrix(beta)
             tw = []
             for k in range(m):
                 vec = [Bm[k][j] for j in range(m)]
                 vec[k] = vec[k] + 1
                 tw.append(vec)
-            self.twisted[beta] = tw
             dec = {}
-            for a in range(m):
-                for b in range(a + 1, m):
-                    poly = self._eval2(comp, self.units[a], self.units[b])
-                    pieces = []
-                    for expo, cc in poly.items():
-                        if sum(expo) != 1:
-                            raise UnsupportedStructureError(
-                                "inner bracket slot must be linear")
-                        pieces.append((expo.index(1), cc))
-                    dec[(a, b)] = pieces
-            self.pair_dec[beta] = dec
+            for (expo, w), c in comp.items():
+                a, b = _pair(w)
+                if a == b:
+                    continue
+                if a > b:
+                    a, b, c = b, a, -c
+                if sum(expo) != 1:
+                    raise UnsupportedStructureError(
+                        "inner bracket slot must be linear")
+                dec.setdefault((a, b), []).append((expo.index(1), c))
+            self.inner[beta] = (tw, dec)
 
-    def _eval2(self, comp, u, v):
+    @staticmethod
+    def _dec(dec, a, b):
+        if a < b:
+            return dec.get((a, b), ())
+        return [(t, -cc) for t, cc in dec.get((b, a), ())]
+
+    def slots(self, outer):
+        """{label: slots} of an outer field: slots[t] lists (expo, coeff, s)
+        for each term whose wedge holds e_t, so that the term's wedge against
+        (e_t, v) is coeff * v[s] (the coefficient negated when t is second)."""
         out = {}
-        for (expo, w), c in comp.items():
-            if len(w) != 2:
-                raise UnsupportedStructureError("bracket slots must be 2-fields")
-            a, b = w
-            d = u[a] * v[b] - u[b] * v[a]
-            if d:
-                s = out.get(expo)
-                s = c * d if s is None else s + c * d
-                if s:
-                    out[expo] = s
-                elif expo in out:
-                    del out[expo]
+        for alpha, comp in outer.components().items():
+            slots = out[alpha] = [[] for _ in range(self.m)]
+            for (expo, w), c in comp.items():
+                a, b = _pair(w)
+                if a != b:
+                    slots[a].append((expo, c, b))
+                    slots[b].append((expo, -c, a))
         return out
 
-    def _dec(self, beta, a, b):
-        if a < b:
-            return self.pair_dec[beta][(a, b)]
-        return [(t, -cc) for t, cc in self.pair_dec[beta][(b, a)]]
-
-    def trilinear(self, a, b, c):
-        """{output label: polynomial dict} for arguments (x_a, x_b, x_c)."""
+    def trilinear(self, outer_slots, a, b, c):
+        """{output label: polynomial dict} for arguments (x_a, x_b, x_c),
+        given the slots of the outer field."""
         group = self.group
         out = {}
-        for alpha, ocomp in self.outer.items():
-            for beta in self.inner:
+        for alpha, slots in outer_slots.items():
+            for beta, (tw, dec) in self.inner.items():
                 label = group.mul[alpha][beta]
-                tw = self.twisted[beta]
                 total = {}
                 for (u, v, w) in ((a, b, c), (b, c, a), (c, a, b)):
-                    for t, cc in self._dec(beta, u, v):
-                        part = self._eval2(ocomp, self.units[t], tw[w])
+                    for t, cc in self._dec(dec, u, v):
+                        part = _slot_eval(slots[t], tw[w])
                         if part:
                             total = p_add(total, p_scale(part, cc))
                 if total:
                     out[label] = p_add(out.get(label, {}), total)
         return {k: v for k, v in out.items() if v}
 
+    def bracket(self, outer):
+        """The trilinear bracket sum of the outer field against the inner one."""
+        group = self.group
+        outer_slots = self.slots(outer)
+        if not outer_slots or not self.inner:
+            return PolyVectorField.zero(group)
+        terms = {}
+        for (i, j, k) in combinations(range(self.m), 3):
+            for label, poly in self.trilinear(outer_slots, i, j, k).items():
+                for expo, cc in poly.items():
+                    key = (label, expo, (i, j, k))
+                    s = terms.get(key)
+                    s = cc if s is None else s + cc
+                    if s:
+                        terms[key] = s
+                    elif key in terms:
+                        del terms[key]
+        return PolyVectorField(group, terms)
 
-def _bracket_sum(group, outer_comps, inner_comps):
-    if not outer_comps or not inner_comps:
-        return PolyVectorField.zero(group)
-    eng = _BracketEngine(group, outer_comps, inner_comps)
-    m = group.dim
-    terms = {}
-    for (i, j, k) in combinations(range(m), 3):
-        for label, poly in eng.trilinear(i, j, k).items():
-            for expo, cc in poly.items():
-                key = (label, expo, (i, j, k))
-                s = terms.get(key)
-                s = cc if s is None else s + cc
-                if s:
-                    terms[key] = s
-                elif key in terms:
-                    del terms[key]
-    return PolyVectorField(group, terms)
+
+def _pair(w):
+    if len(w) != 2:
+        raise UnsupportedStructureError("bracket slots must be 2-fields")
+    return w
+
+
+def _slot_eval(slots, v):
+    """The slots of one index against the vector v, as a polynomial dict."""
+    out = {}
+    for expo, c, s in slots:
+        d = v[s]
+        if not d:
+            continue
+        t = out.get(expo)
+        t = c * d if t is None else t + c * d
+        if t:
+            out[expo] = t
+        elif expo in out:
+            del out[expo]
+    return out
 
 
 def gen_bracket_pi_pi(pair):
     """The trilinear obstruction bracket of the linear part with itself."""
-    comps = pair.pi.components()
-    return _bracket_sum(pair.group, comps, comps)
+    return BracketEngine(pair.pi).bracket(pair.pi)
 
 
 def gen_bracket_b_pi(pair):
     """The trilinear pairing of the constant part against the linear part."""
-    return _bracket_sum(pair.group, pair.b.components(), pair.pi.components())
+    return BracketEngine(pair.pi).bracket(pair.b)
 
 
 # ---------------------------------------------------------------------------

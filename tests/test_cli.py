@@ -297,3 +297,33 @@ def test_input_errors_exit_two(invoke):
     assert code == 2 and "column" in err
     code, _, err = invoke(["star", "--n", "0", "Z"])
     assert code == 2
+
+
+def test_non_invertible_generator_exits_two(invoke):
+    # the zero matrix closes into the monoid {I, 0}, not a group
+    doc = {"conductor": 1, "dimension": 2,
+           "generators": [[["0", "0"], ["0", "0"]]],
+           "structure": [{"label": "e", "poly": "1", "wedge": [0, 1],
+                          "coeff": "1"}]}
+    for fmt in ("text", "json"):
+        code, out, err = invoke(["check-bg", "--format", fmt],
+                                stdin=json.dumps(doc))
+        assert code == 2
+        assert "generator 0 is not invertible" in err
+        assert out == ""
+
+
+def test_solve_b_reports_non_invariant_pi(invoke):
+    # x0 e0^e1 at the identity is not invariant under diag(-1, -1, 1)
+    doc = {"conductor": 1, "dimension": 3,
+           "generators": [[[-1, 0, 0], [0, -1, 0], [0, 0, 1]]],
+           "structure": [{"label": "e", "poly": "x0", "wedge": [0, 1],
+                          "coeff": "1"}],
+           "hbar_weights": [1, 2]}
+    code, out, err = invoke(["solve-b"], stdin=json.dumps(doc))
+    assert code == 1 and err == ""
+    assert out.startswith("invariance: fail (")
+    code, out, _ = invoke(["solve-b", "--format", "json"],
+                          stdin=json.dumps(doc))
+    assert code == 1
+    assert json.loads(out) == {"command": "solve-b", "invariant": False}

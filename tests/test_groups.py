@@ -4,7 +4,7 @@ import pytest
 
 from crossed_poisson.scalars import Cyclotomic, root_of_unity
 from crossed_poisson import linalg
-from crossed_poisson.groups import GroupOrderError, generate
+from crossed_poisson.groups import GroupOrderError, MatrixGroup, generate
 
 
 def z2_group(M=4):
@@ -101,6 +101,17 @@ def test_order_bound_enforced():
     zero = Cyclotomic.zero(M)
     with pytest.raises(GroupOrderError):
         generate([[[z, zero], [zero, z]]], M, max_order=5)
+
+
+def test_non_invertible_generators_are_refused():
+    with pytest.raises(ValueError, match="generator 1 is not invertible"):
+        generate([[[-1, 0], [0, -1]], [[1, 2], [2, 4]]], 1)
+    # the closure of the zero matrix is the monoid {I, 0}: 0 has no inverse
+    ident = ((Cyclotomic.one(1), Cyclotomic.zero(1)),
+             (Cyclotomic.zero(1), Cyclotomic.one(1)))
+    zero = ((Cyclotomic.zero(1),) * 2,) * 2
+    with pytest.raises(ValueError, match="no inverse"):
+        MatrixGroup(1, 2, (ident, zero), [1], ((), (0,)), [[1], [1]])
 
 
 def test_codim_is_a_class_function():

@@ -7,7 +7,7 @@ from crossed_poisson.polyvec import (
     PolyVectorField,
     StructurePair,
     UnsupportedStructureError,
-    _BracketEngine,
+    BracketEngine,
     act,
     average,
     conjugate_swap,
@@ -220,12 +220,12 @@ def test_trilinear_is_alternating():
         e[rng.randrange(G.dim)] += 1
         terms[(gi, tuple(e), w)] = c
     pi = PolyVectorField(G, terms)
-    comps = pi.components()
-    eng = _BracketEngine(G, comps, comps)
+    eng = BracketEngine(pi)
+    outer = eng.slots(pi)
     for (a, b, c) in ((0, 1, 2), (0, 2, 3), (1, 2, 3)):
-        T = eng.trilinear(a, b, c)
-        T_swap = eng.trilinear(b, a, c)
-        T_cyc = eng.trilinear(b, c, a)
+        T = eng.trilinear(outer, a, b, c)
+        T_swap = eng.trilinear(outer, b, a, c)
+        T_cyc = eng.trilinear(outer, b, c, a)
         for label, poly in T.items():
             assert T_swap.get(label, {}) == p_scale(
                 poly, Cyclotomic.rational(G.M, -1))
@@ -236,9 +236,8 @@ def test_trilinear_is_alternating():
 def test_nonlinear_inner_slot_rejected():
     G = trivial_group(3)
     quad = {((0, (2, 0, 0), (0, 1))): Cyclotomic.one(G.M)}
-    comp = {0: {((2, 0, 0), (0, 1)): Cyclotomic.one(G.M)}}
     with pytest.raises(UnsupportedStructureError):
-        _BracketEngine(G, comp, comp)
+        BracketEngine(PolyVectorField(G, quad))
     with pytest.raises(UnsupportedStructureError):
         StructurePair(G, pi=PolyVectorField(G, quad))
 
