@@ -190,19 +190,8 @@ class _Parser:
         raise LiteralError(self.text, pos, f"unexpected {tok!r}")
 
 
-class _CyclotomicDomain:
-    """Values are elements of the fixed cyclotomic field; `z` is the root."""
-
-    def __init__(self, M):
-        self.M = M
-
-    def number(self, k):
-        return Cyclotomic.rational(self.M, k)
-
-    def name(self, sym, text, pos):
-        if sym == "z":
-            return root_of_unity(self.M, 1)
-        raise LiteralError(text, pos, f"unknown symbol {sym!r} (only 'z' is scalar)")
+class _Domain:
+    """Shared ring operations; subclasses supply number, name, power and div."""
 
     def add(self, a, b):
         return a + b
@@ -216,6 +205,21 @@ class _CyclotomicDomain:
     def neg(self, a):
         return -a
 
+
+class _CyclotomicDomain(_Domain):
+    """Values are elements of the fixed cyclotomic field; `z` is the root."""
+
+    def __init__(self, M):
+        self.M = M
+
+    def number(self, k):
+        return Cyclotomic.rational(self.M, k)
+
+    def name(self, sym, text, pos):
+        if sym == "z":
+            return root_of_unity(self.M, 1)
+        raise LiteralError(text, pos, f"unknown symbol {sym!r} (only 'z' is scalar)")
+
     def power(self, a, k):
         return a ** k
 
@@ -225,7 +229,7 @@ class _CyclotomicDomain:
         return a * b.invert()
 
 
-class _StarDomain:
+class _StarDomain(_Domain):
     """Values are crossed-product elements over Z/n with Z, Zb, g, h, z."""
 
     def __init__(self, n):
@@ -248,18 +252,6 @@ class _StarDomain:
             return qmoyal.QPoly.one(self.n).scale(HScalar.h_power(self.M, 1))
         raise LiteralError(text, pos,
                            f"unknown symbol {sym!r} (expected Z, Zb, g, z, or h)")
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def power(self, a, k):
         out = qmoyal.QPoly.one(self.n)
@@ -468,10 +460,10 @@ def term_entries(field):
     return out
 
 
-def emit_structure_file(pair):
-    """Render a StructurePair as canonical structure-file JSON."""
+def structure_doc(pair):
+    """A StructurePair as a structure-file dict, in canonical order."""
     group = pair.group
-    doc = {
+    return {
         "conductor": group.M,
         "dimension": group.dim,
         "generators": [[[entry.to_literal() for entry in row]
@@ -482,53 +474,59 @@ def emit_structure_file(pair):
         "reality_swap": (list(pair.reality_swap)
                          if pair.reality_swap is not None else None),
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def emit_structure_file(pair):
+    """Render a StructurePair as canonical structure-file JSON."""
+    return json.dumps(structure_doc(pair), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# reports
+# reports: each command returns (exit code, data) and `main` renders the data
+# as JSON or through the command's text formatter, which reads only the data
 # ---------------------------------------------------------------------------
 
-class Report:
-    """Dual text/JSON report with fixed ordering for byte-stable output."""
+def _status(ok):
+    return "pass" if ok else "fail"
 
-    def __init__(self, command):
-        self.lines = []
-        self.data = {"command": command}
 
-    def line(self, text):
-        self.lines.append(text)
+def _term_lines(terms, indent="  "):
+    return [indent + json.dumps(entry) for entry in terms]
 
-    def field_lines(self, field, indent="  "):
-        for entry in term_entries(field):
-            self.lines.append(indent + json.dumps(entry))
 
-    def render(self, fmt):
-        if fmt == "json":
-            return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
-        return "\n".join(self.lines) + "\n"
+def _bracket_residues(outcome):
+    return {"self_bracket_residue": term_entries(outcome.pi_pi_residue),
+            "mixed_bracket_residue": term_entries(outcome.b_pi_residue)}
 
 
 def _residue_payload(residues):
-    """Serialize {(label, weight): field} residue maps for the JSON report."""
-    out = []
-    for (label, weight) in sorted(residues):
-        field = residues[(label, weight)]
-        out.append({
-            "label": field.group.word_str(label),
-            "weight": weight,
-            "terms": term_entries(field),
-        })
-    return out
+    """Serialize {(label, weight): field} residue maps for the report."""
+    return [{"label": field.group.word_str(label), "weight": weight,
+             "terms": term_entries(field)}
+            for (label, weight), field in sorted(residues.items())]
 
 
-def _print_residues(report, residues):
-    group = None
-    for (label, weight) in sorted(residues):
-        field = residues[(label, weight)]
-        group = field.group
-        report.line(f"  at {group.word_str(label)} (weight {weight}):")
-        report.field_lines(field, indent="    ")
+_BG_LABELS = (
+    ("bg1", "twisted cocycle", "bg1_failures"),
+    ("bg2", "jacobi coboundary match", "bg2_residues"),
+    ("bg3", "mixed bracket", "bg3_residues"),
+)
+
+
+def _bg_data(outcome):
+    return {short: {"status": _status(not getattr(outcome, attr)),
+                    "residues": _residue_payload(getattr(outcome, attr))}
+            for short, _, attr in _BG_LABELS}
+
+
+def _bg_lines(data):
+    lines = []
+    for short, description, _ in _BG_LABELS:
+        lines.append(f"{short} {description}: {data[short]['status']}")
+        for residue in data[short]["residues"]:
+            lines.append(f"  at {residue['label']} (weight {residue['weight']}):")
+            lines += _term_lines(residue["terms"], indent="    ")
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -550,146 +548,103 @@ def _load_pair(args):
 
 
 def cmd_verify_poisson(args):
-    pair = _load_pair(args)
-    report = Report("verify-poisson")
-    try:
-        outcome = is_poisson(pair)
-    except InvarianceError as e:
-        report.line(f"invariance: fail ({e})")
-        report.data["invariant"] = False
-        print(report.render(args.format), end="")
-        return 1
-    report.line(f"invariance: {'pass' if outcome.invariant else 'fail'}")
-    report.data["invariant"] = outcome.invariant
-    for name, residue in (("self-bracket", outcome.pi_pi_residue),
-                          ("mixed-bracket", outcome.b_pi_residue)):
-        key = name.replace("-", "_") + "_residue"
-        if residue.is_zero():
-            report.line(f"{name} residue: zero")
-            report.data[key] = []
-        else:
-            report.line(f"{name} residue: nonzero")
-            report.field_lines(residue)
-            report.data[key] = term_entries(residue)
-    ok = outcome.ok
-    report.line(f"verdict: {'poisson' if ok else 'not poisson'}")
-    report.data["poisson"] = ok
-    print(report.render(args.format), end="")
-    return 0 if ok else 1
+    outcome = is_poisson(_load_pair(args))
+    return (0 if outcome.ok else 1), {"invariant": outcome.invariant,
+                                      **_bracket_residues(outcome),
+                                      "poisson": outcome.ok}
 
 
-_BG_LABELS = (
-    ("bg1", "twisted cocycle", "bg1_failures"),
-    ("bg2", "jacobi coboundary match", "bg2_residues"),
-    ("bg3", "mixed bracket", "bg3_residues"),
-)
-
-
-def _bg_section(report, outcome):
-    for short, description, attr in _BG_LABELS:
-        residues = getattr(outcome, attr)
-        status = "pass" if not residues else "fail"
-        report.line(f"{short} {description}: {status}")
-        if residues:
-            _print_residues(report, residues)
-        report.data[short] = {"status": status,
-                              "residues": _residue_payload(residues)}
+def _text_verify_poisson(data):
+    lines = [f"invariance: {_status(data['invariant'])}"]
+    for name in ("self-bracket", "mixed-bracket"):
+        terms = data[name.replace("-", "_") + "_residue"]
+        lines.append(f"{name} residue: {'nonzero' if terms else 'zero'}")
+        lines += _term_lines(terms)
+    lines.append(f"verdict: {'poisson' if data['poisson'] else 'not poisson'}")
+    return lines
 
 
 def cmd_check_bg(args):
-    pair = _load_pair(args)
-    report = Report("check-bg")
-    try:
-        outcome = pbw.check_bg(pair, zero_b=args.zero_b)
-    except InvarianceError as e:
-        report.line(f"invariance: fail ({e})")
-        report.data["invariant"] = False
-        print(report.render(args.format), end="")
-        return 1
-    _bg_section(report, outcome)
-    report.line(f"verdict: {'pass' if outcome.passed else 'fail'}")
-    report.data["passed"] = outcome.passed
-    print(report.render(args.format), end="")
-    return 0 if outcome.passed else 1
+    outcome = pbw.check_bg(_load_pair(args), zero_b=args.zero_b)
+    return (0 if outcome.passed else 1), {**_bg_data(outcome),
+                                          "passed": outcome.passed}
+
+
+def _text_check_bg(data):
+    return _bg_lines(data) + [f"verdict: {_status(data['passed'])}"]
 
 
 def cmd_solve_b(args):
     pair = _load_pair(args)
-    report = Report("solve-b")
     try:
         result = pbw.solve_b(pair)
-    except InvarianceError as e:
-        report.line(f"invariance: fail ({e})")
-        report.data["invariant"] = False
-        print(report.render(args.format), end="")
-        return 1
+    except InvarianceError:     # a ValueError that main reports as a verdict
+        raise
     except ValueError as e:
         raise InputError(str(e))
     if not result.feasible:
-        report.line("solvable: no")
-        for cert in result.certificates:
-            report.line(f"  {cert}")
-        report.data["solvable"] = False
-        report.data["certificates"] = list(result.certificates)
-        print(report.render(args.format), end="")
-        return 1
+        return 1, {"solvable": False, "certificates": list(result.certificates)}
     solved = result.pair
     confirmed = pbw.check_bg(solved).passed
-    report.line("solvable: yes")
-    report.line(f"free parameters: {result.free_parameters}")
-    report.line("solved constant correction:")
-    report.field_lines(solved.b)
-    report.line(f"flatness conditions on the solved pair: "
-                f"{'pass' if confirmed else 'fail'}")
-    report.data.update({
+    return (0 if confirmed else 1), {
         "solvable": True,
         "free_parameters": result.free_parameters,
         "solved_b": term_entries(solved.b),
-        "structure_file": json.loads(emit_structure_file(solved)),
+        "structure_file": structure_doc(solved),
         "confirmed": confirmed,
-    })
-    print(report.render(args.format), end="")
-    return 0 if confirmed else 1
+    }
+
+
+def _text_solve_b(data):
+    if not data["solvable"]:
+        return ["solvable: no"] + [f"  {cert}" for cert in data["certificates"]]
+    return (["solvable: yes",
+             f"free parameters: {data['free_parameters']}",
+             "solved constant correction:"]
+            + _term_lines(data["solved_b"])
+            + ["flatness conditions on the solved pair: "
+               + _status(data["confirmed"])])
 
 
 def cmd_pbw(args):
     pair = _load_pair(args)
-    report = Report("pbw")
-    try:
-        outcome = pbw.check_bg(pair)
-    except InvarianceError as e:
-        report.line(f"invariance: fail ({e})")
-        report.data["invariant"] = False
-        print(report.render(args.format), end="")
-        return 1
-    _bg_section(report, outcome)
+    outcome = pbw.check_bg(pair)
     confluence = pbw.overlap_confluence(pair)
-    report.line(f"overlap confluence: "
-                f"{'pass' if confluence.ok else 'fail'} "
-                f"({confluence.overlaps_checked} overlaps)")
-    report.data["confluence"] = {
-        "status": "pass" if confluence.ok else "fail",
-        "overlaps_checked": confluence.overlaps_checked,
-        "failures": [{"word": desc, "monomial": repr(key), "difference": d.to_literal()}
-                     for desc, key, d in confluence.failures],
-    }
-    for desc, key, d in confluence.failures:
-        report.line(f"  {desc}: difference {d.to_literal()} at {key}")
-    dims = [pbw.graded_dimension(pair.group, d) for d in range(4)]
-    report.line("normal monomial counts through degree 0..3: "
-                + ", ".join(str(d) for d in dims))
-    report.data["graded_dimensions"] = dims
     flat = outcome.passed and confluence.ok
+    data = {
+        **_bg_data(outcome),
+        "confluence": {
+            "status": _status(confluence.ok),
+            "overlaps_checked": confluence.overlaps_checked,
+            "failures": [{"word": desc, "monomial": repr(key),
+                          "difference": d.to_literal()}
+                         for desc, key, d in confluence.failures],
+        },
+        "graded_dimensions": [pbw.graded_dimension(pair.group, d)
+                              for d in range(4)],
+        "flat": flat,
+    }
     if not flat and pair.b.is_zero() and pair.w_b == 2 * pair.w_pi:
         correction = pbw.solve_b(pair)
         if correction.feasible:
-            report.line("a constant correction restores flatness:")
-            report.field_lines(correction.pair.b)
-            report.data["suggested_b"] = term_entries(correction.pair.b)
-    report.line(f"verdict: {'flat' if flat else 'not flat'}")
-    report.data["flat"] = flat
-    print(report.render(args.format), end="")
-    return 0 if flat else 1
+            data["suggested_b"] = term_entries(correction.pair.b)
+    return (0 if flat else 1), data
+
+
+def _text_pbw(data):
+    confluence = data["confluence"]
+    lines = _bg_lines(data)
+    lines.append(f"overlap confluence: {confluence['status']} "
+                 f"({confluence['overlaps_checked']} overlaps)")
+    lines += [f"  {f['word']}: difference {f['difference']} at {f['monomial']}"
+              for f in confluence["failures"]]
+    lines.append("normal monomial counts through degree 0..3: "
+                 + ", ".join(str(d) for d in data["graded_dimensions"]))
+    if "suggested_b" in data:
+        lines.append("a constant correction restores flatness:")
+        lines += _term_lines(data["suggested_b"])
+    lines.append(f"verdict: {'flat' if data['flat'] else 'not flat'}")
+    return lines
 
 
 def cmd_star(args):
@@ -702,12 +657,12 @@ def cmd_star(args):
     product = values[0]
     for value in values[1:]:
         product = qmoyal.star(product, value)
-    report = Report("star")
-    report.line(f"result: {product.to_literal()}")
-    report.data.update({"n": args.n, "inputs": list(args.expr),
-                        "result": product.to_literal()})
-    print(report.render(args.format), end="")
-    return 0
+    return 0, {"n": args.n, "inputs": list(args.expr),
+               "result": product.to_literal()}
+
+
+def _text_star(data):
+    return [f"result: {data['result']}"]
 
 
 def cmd_center(args):
@@ -717,21 +672,21 @@ def cmd_center(args):
         seed = parse_star_expression(args.expr, args.n)
     except LiteralError as e:
         raise InputError(str(e))
-    report = Report("center")
     try:
         lifted = qmoyal.center_lift(seed, args.n, route=args.route)
     except (qmoyal.NotInvariantError, qmoyal.StarError) as e:
-        report.line(f"central lift: fail ({e})")
-        report.data["error"] = str(e)
-        print(report.render(args.format), end="")
-        return 1
+        return 1, {"error": str(e)}
     central = qmoyal.is_central(lifted, args.n)
-    report.line(f"central lift: {lifted.to_literal()}")
-    report.line(f"commutes with the generators: {'pass' if central else 'fail'}")
-    report.data.update({"n": args.n, "seed": args.expr,
-                        "lift": lifted.to_literal(), "central": central})
-    print(report.render(args.format), end="")
-    return 0 if central else 1
+    return (0 if central else 1), {"n": args.n, "seed": args.expr,
+                                   "lift": lifted.to_literal(),
+                                   "central": central}
+
+
+def _text_center(data):
+    if "error" in data:
+        return [f"central lift: fail ({data['error']})"]
+    return [f"central lift: {data['lift']}",
+            f"commutes with the generators: {_status(data['central'])}"]
 
 
 def cmd_center_relation(args):
@@ -739,11 +694,11 @@ def cmd_center_relation(args):
         constant = qmoyal.center_relation(args.n)
     except qmoyal.StarError as e:
         raise InputError(str(e))
-    report = Report("center-relation")
-    report.line(f"relation constant: {constant.to_literal()}")
-    report.data.update({"n": args.n, "constant": constant.to_literal()})
-    print(report.render(args.format), end="")
-    return 0
+    return 0, {"n": args.n, "constant": constant.to_literal()}
+
+
+def _text_center_relation(data):
+    return [f"relation constant: {data['constant']}"]
 
 
 def cmd_cohomology(args):
@@ -752,56 +707,55 @@ def cmd_cohomology(args):
     if not 0 <= args.degree <= 2:
         raise InputError("--degree must be 0, 1, or 2")
     pair = _load_pair(args)
-    report = Report("cohomology")
     health = is_poisson(pair)
     if not health.ok:
-        report.line("the structure is not Poisson; residues:")
-        for residue in (health.pi_pi_residue, health.b_pi_residue):
-            if not residue.is_zero():
-                report.field_lines(residue)
-        report.data["poisson"] = False
-        print(report.render(args.format), end="")
-        return 1
+        return 1, {"poisson": False, **_bracket_residues(health)}
     try:
         outcome = h_truncated(pair, args.degree, args.polydeg)
     except UnsupportedDegreeError as e:
         raise InputError(str(e))
     group = pair.group
 
-    def label_dim_items(dims):
-        return [(group.word_str(label), dims[label]) for label in sorted(dims)]
+    def label_dims(dims):
+        return [[group.word_str(label), dims[label]] for label in sorted(dims)]
 
-    report.line(f"cochain degree {args.degree}, polynomial cap {args.polydeg}")
-    report.line(f"cocycle dimension: {outcome.dim_kernel}")
-    report.line(f"boundary dimension: {outcome.dim_image}")
-    report.line(f"cohomology dimension: {outcome.dimension}")
-    kernel_dims = label_dim_items(outcome.kernel_label_dims())
-    image_dims = label_dim_items(outcome.image_label_dims())
-    report.line("cocycle label dimensions: "
-                + (", ".join(f"{w}: {d}" for w, d in kernel_dims) or "none"))
-    report.line("boundary label dimensions: "
-                + (", ".join(f"{w}: {d}" for w, d in image_dims) or "none"))
-    report.line("representatives:")
-    for field in outcome.representatives:
-        report.field_lines(field)
-    if outcome.image_basis:
-        report.line("boundaries:")
-        for field in outcome.image_basis:
-            report.field_lines(field)
-    report.data.update({
+    return 0, {
         "poisson": True,
         "degree": args.degree,
         "polydeg": args.polydeg,
         "dim_kernel": outcome.dim_kernel,
         "dim_image": outcome.dim_image,
         "dimension": outcome.dimension,
-        "kernel_label_dims": [list(item) for item in kernel_dims],
-        "image_label_dims": [list(item) for item in image_dims],
+        "kernel_label_dims": label_dims(outcome.kernel_label_dims()),
+        "image_label_dims": label_dims(outcome.image_label_dims()),
         "representatives": [term_entries(f) for f in outcome.representatives],
         "boundaries": [term_entries(f) for f in outcome.image_basis],
-    })
-    print(report.render(args.format), end="")
-    return 0
+    }
+
+
+def _text_cohomology(data):
+    if not data["poisson"]:
+        return (["the structure is not Poisson; residues:"]
+                + _term_lines(data["self_bracket_residue"])
+                + _term_lines(data["mixed_bracket_residue"]))
+
+    def label_dims(key):
+        return ", ".join(f"{w}: {d}" for w, d in data[key]) or "none"
+
+    lines = [f"cochain degree {data['degree']}, polynomial cap {data['polydeg']}",
+             f"cocycle dimension: {data['dim_kernel']}",
+             f"boundary dimension: {data['dim_image']}",
+             f"cohomology dimension: {data['dimension']}",
+             f"cocycle label dimensions: {label_dims('kernel_label_dims')}",
+             f"boundary label dimensions: {label_dims('image_label_dims')}",
+             "representatives:"]
+    for terms in data["representatives"]:
+        lines += _term_lines(terms)
+    if data["boundaries"]:
+        lines.append("boundaries:")
+        for terms in data["boundaries"]:
+            lines += _term_lines(terms)
+    return lines
 
 
 def _catalog_entry(args):
@@ -841,9 +795,11 @@ def _scalar_param(raw, flag, default):
 
 
 def cmd_catalog(args):
-    entry = _catalog_entry(args)
-    sys.stdout.write(emit_structure_file(entry.structure))
-    return 0
+    return 0, structure_doc(_catalog_entry(args).structure)
+
+
+def _text_catalog(doc):
+    return [json.dumps(doc, indent=2)]
 
 
 # ---------------------------------------------------------------------------
@@ -864,52 +820,53 @@ def build_parser():
                     "polynomial crossed products.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, with_file=True):
+    def add(name, handler, text, help_text, with_file=True):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, text=text)
         if with_file:
             p.add_argument("file", nargs="?", default="-",
                            help="structure file (default: stdin)")
         return p
 
-    add("verify-poisson", cmd_verify_poisson,
+    add("verify-poisson", cmd_verify_poisson, _text_verify_poisson,
         "invariance and the two projected bracket residues")
 
-    p = add("check-bg", cmd_check_bg, "the three flatness conditions")
+    p = add("check-bg", cmd_check_bg, _text_check_bg,
+            "the three flatness conditions")
     p.add_argument("--zero-b", action="store_true",
                    help="drop the constant part before checking")
 
-    add("solve-b", cmd_solve_b, "solve for a constant correction")
+    add("solve-b", cmd_solve_b, _text_solve_b, "solve for a constant correction")
 
-    add("pbw", cmd_pbw, "full flatness certificate: conditions, "
-                        "confluence, dimension counts")
+    add("pbw", cmd_pbw, _text_pbw,
+        "full flatness certificate: conditions, confluence, dimension counts")
 
-    p = add("star", cmd_star, "star-multiply expressions in Z, Zb, g",
-            with_file=False)
+    p = add("star", cmd_star, _text_star,
+            "star-multiply expressions in Z, Zb, g", with_file=False)
     p.add_argument("--n", type=int, required=True, help="cyclic group order")
     p.add_argument("expr", nargs="+", help="factors, multiplied left to right")
 
-    p = add("center", cmd_center, "lift an invariant polynomial to the center",
-            with_file=False)
+    p = add("center", cmd_center, _text_center,
+            "lift an invariant polynomial to the center", with_file=False)
     p.add_argument("--n", type=int, required=True, help="cyclic group order")
     p.add_argument("--route", choices=("both", "d_z", "d_zbar"), default="both",
                    help="which closed-form component expression to use")
     p.add_argument("expr", help="rotation-invariant polynomial in Z, Zb")
 
-    p = add("center-relation", cmd_center_relation,
+    p = add("center-relation", cmd_center_relation, _text_center_relation,
             "the constant completing the relation between the central "
             "generators", with_file=False)
     p.add_argument("--n", type=int, required=True, help="cyclic group order")
 
-    p = add("cohomology", cmd_cohomology,
+    p = add("cohomology", cmd_cohomology, _text_cohomology,
             "truncated cohomology of the structure differential")
     p.add_argument("--degree", type=int, required=True,
                    help="cochain degree (0, 1, or 2)")
     p.add_argument("--polydeg", type=int, required=True,
                    help="polynomial degree cap")
 
-    p = add("catalog", cmd_catalog, "emit a named entry as a structure file",
-            with_file=False)
+    p = add("catalog", cmd_catalog, _text_catalog,
+            "emit a named entry as a structure file", with_file=False)
     p.add_argument("name", help="z2_constant, z2_r3_linear, gamma_n, "
                                 "or cyclic_qmoyal")
     p.add_argument("--n", type=int, help="family parameter n")
@@ -922,13 +879,24 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    lines = None
     try:
-        return args.handler(args)
+        code, data = args.handler(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except InvarianceError as e:
+        # the message is shown in text only; JSON carries the bare verdict
+        code, data = 1, {"invariant": False}
+        lines = [f"invariance: fail ({e})"]
+    # catalog emits a structure file, which is the same in either format
+    if args.format == "json" and args.command != "catalog":
+        print(json.dumps({"command": args.command, **data}, indent=2,
+                         sort_keys=True))
+    else:
+        print("\n".join(lines if lines is not None else args.text(data)))
+    return code
 
 
 if __name__ == "__main__":

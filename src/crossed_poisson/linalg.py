@@ -54,10 +54,6 @@ def mat_vec(A, v):
     return out
 
 
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_eq(A, B):
     return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
 

@@ -8,10 +8,7 @@ cyclotomic polynomial.  No floats anywhere.
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Q
+from fractions import Fraction as Q
 
 QZERO = Q(0)
 QONE = Q(1)
