@@ -554,14 +554,18 @@ def cmd_verify_poisson(args):
                                       "poisson": outcome.ok}
 
 
-def _text_verify_poisson(data):
+def _poisson_lines(data):
     lines = [f"invariance: {_status(data['invariant'])}"]
     for name in ("self-bracket", "mixed-bracket"):
         terms = data[name.replace("-", "_") + "_residue"]
         lines.append(f"{name} residue: {'nonzero' if terms else 'zero'}")
         lines += _term_lines(terms)
-    lines.append(f"verdict: {'poisson' if data['poisson'] else 'not poisson'}")
     return lines
+
+
+def _text_verify_poisson(data):
+    return _poisson_lines(data) + [
+        f"verdict: {'poisson' if data['poisson'] else 'not poisson'}"]
 
 
 def cmd_check_bg(args):
@@ -616,9 +620,10 @@ def cmd_pbw(args):
         "confluence": {
             "status": _status(confluence.ok),
             "overlaps_checked": confluence.overlaps_checked,
-            "failures": [{"word": desc, "monomial": repr(key),
+            "failures": [{"word": desc, "poly": monomial_literal(expo),
+                          "label": pair.group.word_str(label),
                           "difference": d.to_literal()}
-                         for desc, key, d in confluence.failures],
+                         for desc, (expo, label), d in confluence.failures],
         },
         "graded_dimensions": [pbw.graded_dimension(pair.group, d)
                               for d in range(4)],
@@ -636,7 +641,8 @@ def _text_pbw(data):
     lines = _bg_lines(data)
     lines.append(f"overlap confluence: {confluence['status']} "
                  f"({confluence['overlaps_checked']} overlaps)")
-    lines += [f"  {f['word']}: difference {f['difference']} at {f['monomial']}"
+    lines += [f"  {f['word']}: difference {f['difference']} "
+              f"at {f['poly']}, label {f['label']}"
               for f in confluence["failures"]]
     lines.append("normal monomial counts through degree 0..3: "
                  + ", ".join(str(d) for d in data["graded_dimensions"]))
@@ -709,7 +715,8 @@ def cmd_cohomology(args):
     pair = _load_pair(args)
     health = is_poisson(pair)
     if not health.ok:
-        return 1, {"poisson": False, **_bracket_residues(health)}
+        return 1, {"poisson": False, "invariant": health.invariant,
+                   **_bracket_residues(health)}
     try:
         outcome = h_truncated(pair, args.degree, args.polydeg)
     except UnsupportedDegreeError as e:
@@ -735,9 +742,7 @@ def cmd_cohomology(args):
 
 def _text_cohomology(data):
     if not data["poisson"]:
-        return (["the structure is not Poisson; residues:"]
-                + _term_lines(data["self_bracket_residue"])
-                + _term_lines(data["mixed_bracket_residue"]))
+        return ["the structure is not Poisson"] + _poisson_lines(data)
 
     def label_dims(key):
         return ", ".join(f"{w}: {d}" for w, d in data[key]) or "none"

@@ -79,6 +79,7 @@ class TruncatedComplex:
             self.bases.append(fields)
             self.degrees.append(degs)
             self._spans.append(span)
+        self._images = {}   # degree j: the differential of each field of bases[j]
         self.matrices = [self._matrix(j) for j in range(3)]
         for j in (0, 1):
             self._assert_square_zero(j)
@@ -102,9 +103,10 @@ class TruncatedComplex:
 
     def _matrix(self, j):
         target = self._spans[j + 1]
+        images = self._images[j] = [poisson_differential(self.pair, field)
+                                    for field in self.bases[j]]
         cols = []
-        for field in self.bases[j]:
-            img = poisson_differential(self.pair, field)
+        for img in images:
             if img.is_zero():
                 cols.append({})
                 continue
@@ -163,8 +165,7 @@ class TruncatedComplex:
         image_fields = []
         if k > 0:
             high = Span()
-            for idx, field in enumerate(self.bases[k - 1]):
-                img = poisson_differential(self.pair, field)
+            for idx, img in enumerate(self._images[k - 1]):
                 if img.is_zero():
                     continue
                 col = {}

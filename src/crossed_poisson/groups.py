@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from .scalars import Cyclotomic, Q
 from . import linalg
+from .polyvec import LinearSubstitution
 
 
 class GroupOrderError(RuntimeError):
@@ -36,7 +37,8 @@ def _conj_transpose(A):
 
 
 class ElementGeometry:
-    __slots__ = ("index", "codim", "fixed", "normal", "basis", "basis_inv")
+    __slots__ = ("index", "codim", "fixed", "normal", "basis", "basis_inv",
+                 "to_adapted", "from_adapted")
 
     def __init__(self, index, codim, fixed, normal, basis, basis_inv):
         self.index = index
@@ -45,6 +47,9 @@ class ElementGeometry:
         self.normal = normal        # list spanning N^gamma
         self.basis = basis          # columns: fixed then normal
         self.basis_inv = basis_inv
+        # the substitutions into the adapted coordinates and back
+        self.to_adapted = LinearSubstitution(basis, basis_inv)
+        self.from_adapted = LinearSubstitution(basis_inv, basis)
 
 
 class MatrixGroup:
@@ -77,6 +82,7 @@ class MatrixGroup:
                 raise ValueError(f"element {self.word_str(i)} has no inverse "
                                  "in the closure")
         self._geometry: dict[int, ElementGeometry] = {}
+        self._substitutions: dict[int, LinearSubstitution] = {}
         self._classes = None
         self._hermitian = None
 
@@ -102,6 +108,15 @@ class MatrixGroup:
 
     def matrix_inv(self, i):
         return self.elements[self.inv[i]]
+
+    def substitution(self, i):
+        """The memoized action of element i on monomials and wedges: x_k to
+        row k of its matrix, e_k to column k of its inverse."""
+        sub = self._substitutions.get(i)
+        if sub is None:
+            sub = self._substitutions[i] = LinearSubstitution(
+                self.elements[i], self.matrix_inv(i))
+        return sub
 
     def conjugate_index(self, g, h):
         """Index of g h g^-1."""

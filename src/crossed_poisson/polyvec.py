@@ -227,38 +227,56 @@ def _zero_expo(m):
 # group action, invariance, reality
 # ---------------------------------------------------------------------------
 
-def _transform_terms(group, items, poly_mat, wedge_mat, label_map):
-    """Shared engine: x_i -> row i of poly_mat, e_i -> column i of wedge_mat."""
-    m, M = group.dim, group.M
-    lin = []
-    for i in range(m):
-        row = {}
-        for j in range(m):
-            a = poly_mat[i][j]
-            if a:
-                e = [0] * m
-                e[j] = 1
-                row[tuple(e)] = a
-        lin.append(row)
-    out = {}
-    wedge_cache = {}
-    for (gi, expo, wedge), c in items:
-        poly = {_zero_expo(m): c}
-        for i, p in enumerate(expo):
-            for _ in range(p):
-                poly = p_mul(poly, lin[i])
-        imgs = wedge_cache.get(wedge)
+class LinearSubstitution:
+    """The linear change of variables x_i -> row i of poly_mat and
+    e_i -> column i of wedge_mat, with memoized images.
+
+    monomial(expo) is the image of x^expo, built as monomial(expo - e_i)
+    times the linear form of x_i for the last variable i that expo uses, and
+    wedge(w) maps each sorted wedge T to the minor of wedge_mat on rows T and
+    columns w.  The returned dictionaries are shared between callers and must
+    not be mutated.
+    """
+
+    __slots__ = ("M", "lin", "wedge_mat", "_monomials", "_wedges")
+
+    def __init__(self, poly_mat, wedge_mat):
+        m = len(poly_mat)
+        self.M = poly_mat[0][0].M
+        units = [tuple(int(j == k) for k in range(m)) for j in range(m)]
+        self.lin = [{units[j]: a for j, a in enumerate(row) if a}
+                    for row in poly_mat]
+        self.wedge_mat = wedge_mat
+        self._monomials = {_zero_expo(m): {_zero_expo(m): Cyclotomic.one(self.M)}}
+        self._wedges = {}
+
+    def monomial(self, expo):
+        img = self._monomials.get(expo)
+        if img is None:
+            i = max(k for k, p in enumerate(expo) if p)
+            lower = expo[:i] + (expo[i] - 1,) + expo[i + 1:]
+            img = self._monomials[expo] = p_mul(self.monomial(lower), self.lin[i])
+        return img
+
+    def wedge(self, w):
+        imgs = self._wedges.get(w)
         if imgs is None:
-            imgs = {}
-            k = len(wedge)
-            for T in combinations(range(m), k):
-                sub = [[wedge_mat[t][s] for s in wedge] for t in T]
-                d = _det(sub, M)
+            imgs = self._wedges[w] = {}
+            for T in combinations(range(len(self.wedge_mat)), len(w)):
+                d = _det([[self.wedge_mat[t][s] for s in w] for t in T], self.M)
                 if d:
                     imgs[T] = d
-            wedge_cache[wedge] = imgs
+        return imgs
+
+
+def _transform_terms(items, sub, label_map):
+    """Apply the substitution sub to each term, moving its label by label_map."""
+    out = {}
+    for (gi, expo, wedge), c in items:
         new_label = label_map(gi)
-        for e2, pc in poly.items():
+        imgs = sub.wedge(wedge)
+        for e2, pc in sub.monomial(expo).items():
+            pc = pc * c
             for T, d in imgs.items():
                 key = (new_label, e2, T)
                 v = pc * d
@@ -274,18 +292,9 @@ def _transform_terms(group, items, poly_mat, wedge_mat, label_map):
 def act(g, X):
     """Transport X by the group element with index g."""
     group = X.group
-    Gm = group.matrix(g)
-    Minv = group.matrix_inv(g)
-    terms = _transform_terms(group, X.terms.items(), Gm, Minv,
+    terms = _transform_terms(X.terms.items(), group.substitution(g),
                              lambda gi: group.conjugate_index(g, gi))
     return PolyVectorField(group, terms)
-
-
-def transform_component(group, comp, poly_mat, wedge_mat):
-    """Coordinate change of a single unduplicated component (no label move)."""
-    items = (((0, e, w), c) for (e, w), c in comp.items())
-    moved = _transform_terms(group, items, poly_mat, wedge_mat, lambda gi: gi)
-    return {(e, w): c for (_, e, w), c in moved.items()}
 
 
 def is_invariant(X):
@@ -631,24 +640,19 @@ def pr(X):
     wedge contains every normal direction."""
     group = X.group
     m = group.dim
-    out = PolyVectorField.zero(group)
-    for gi, comp in X.components().items():
+    by_label = {}
+    for key, c in X.terms.items():
+        by_label.setdefault(key[0], []).append((key, c))
+    out = {}
+    for gi, items in by_label.items():
         geo = group.geometry(gi)
         s = m - geo.codim
-        ad = transform_component(group, comp, geo.basis, geo.basis_inv)
-        keep = {}
         normal = frozenset(range(s, m))
-        for (expo, wedge), c in ad.items():
-            if any(expo[s:]):
-                continue
-            if not normal <= frozenset(wedge):
-                continue
-            keep[(expo, wedge)] = c
-        if not keep:
-            continue
-        back = transform_component(group, keep, geo.basis_inv, geo.basis)
-        out = out + PolyVectorField(group, {(gi, e, w): c for (e, w), c in back.items()})
-    return out
+        ad = _transform_terms(items, geo.to_adapted, lambda g: g)
+        keep = [(key, c) for key, c in ad.items()
+                if not any(key[1][s:]) and normal <= frozenset(key[2])]
+        out.update(_transform_terms(keep, geo.from_adapted, lambda g: g))
+    return PolyVectorField(group, out)
 
 
 class PoissonReport:

@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from crossed_poisson.scalars import Cyclotomic, root_of_unity
+from crossed_poisson.groups import generate
+from crossed_poisson.scalars import Cyclotomic, Q, root_of_unity
 from crossed_poisson.polyvec import (
     PolyVectorField,
     StructurePair,
@@ -19,10 +21,12 @@ from crossed_poisson.polyvec import (
     koszul_differential,
     poisson_differential,
     pr,
+    p_mul,
     p_scale,
     schouten,
     wedge_insert,
     wedge_sort,
+    _det,
 )
 
 from conftest import gamma1_group, random_pvf, trivial_group, z2_group
@@ -75,6 +79,95 @@ def test_average_is_invariant_projector():
     A = average(X)
     assert is_invariant(A)
     assert average(A) == A
+
+
+# -- the memoized substitutions against a plain loop -----------------------------
+
+def _plain_transform(group, terms, poly_mat, wedge_mat, label_map):
+    """x_i -> row i of poly_mat by repeated p_mul, e_i -> column i of
+    wedge_mat by the determinant of each minor, with nothing kept."""
+    m, M = group.dim, group.M
+    units = [tuple(int(j == k) for k in range(m)) for j in range(m)]
+    lin = [{units[j]: a for j, a in enumerate(row) if a} for row in poly_mat]
+    out = PolyVectorField.zero(group)
+    for (gi, expo, wedge), c in terms.items():
+        poly = {(0,) * m: c}
+        for i, p in enumerate(expo):
+            for _ in range(p):
+                poly = p_mul(poly, lin[i])
+        for T in combinations(range(m), len(wedge)):
+            d = _det([[wedge_mat[t][s] for s in wedge] for t in T], M)
+            out = out + PolyVectorField(
+                group, {(label_map(gi), e, T): pc * d for e, pc in poly.items()})
+    return out
+
+
+def _plain_act(g, X):
+    G = X.group
+    return _plain_transform(G, X.terms, G.matrix(g), G.matrix_inv(g),
+                            lambda gi: G.conjugate_index(g, gi))
+
+
+def _plain_average(X):
+    G = X.group
+    total = PolyVectorField.zero(G)
+    for g in range(G.order):
+        total = total + _plain_act(g, X)
+    return total.scale(Cyclotomic.rational(G.M, Q(1, G.order)))
+
+
+def _plain_pr(X):
+    G = X.group
+    m = G.dim
+    out = PolyVectorField.zero(G)
+    for gi in X.labels():
+        geo = G.geometry(gi)
+        s = m - geo.codim
+        ad = _plain_transform(G, X.restrict_label(gi).terms, geo.basis,
+                              geo.basis_inv, lambda g: g)
+        keep = {(g, e, w): c for (g, e, w), c in ad.terms.items()
+                if not any(e[s:]) and set(range(s, m)) <= set(w)}
+        out = out + _plain_transform(G, keep, geo.basis_inv, geo.basis,
+                                     lambda g: g)
+    return out
+
+
+def flip_group():
+    return generate([[[-1, 0, 0], [0, -1, 0], [0, 0, 1]]], 4)
+
+
+@pytest.mark.parametrize("make_group", [gamma1_group, z2_group, flip_group])
+def test_memoized_transforms_match_plain_loop(make_group):
+    G = make_group()
+    rng = random.Random(G.order * 100 + G.dim)
+    for _ in range(5):
+        X = random_pvf(G, rng, nterms=5, max_deg=3)
+        for g in range(G.order):
+            assert act(g, X) == _plain_act(g, X)
+        assert average(X) == _plain_average(X)
+        assert pr(X) == _plain_pr(X)
+
+
+def test_flip_adapted_basis_is_not_the_identity():
+    # the reference test above needs pr to change coordinates at the flip
+    G = flip_group()
+    one, zero = Cyclotomic.one(4), Cyclotomic.zero(4)
+    ident = [[one if r == c else zero for c in range(3)] for r in range(3)]
+    assert [list(row) for row in G.geometry(1).basis] != ident
+
+
+def test_memoized_images_are_not_shared_with_results():
+    G = gamma1_group()
+    rng = random.Random(3)
+    X = random_pvf(G, rng, nterms=5, max_deg=3)
+    for op in (lambda F: act(1, F), average, pr):
+        first, expected = op(X), op(X)
+        for key in list(first.terms):
+            first.terms[key] = first.terms[key] + Cyclotomic.one(G.M)
+        first.terms[(0, (0, 0, 0, 0), ())] = Cyclotomic.one(G.M)
+        assert op(X) == expected
+    assert act(1, X) == _plain_act(1, X)
+    assert pr(X) == _plain_pr(X)
 
 
 def test_reality_involution():
