@@ -174,12 +174,7 @@ def _inverse_bivector(group, Omega, label, vectors):
                     a = vectors[p][i] * vectors[q][j] - vectors[p][j] * vectors[q][i]
                     if not a:
                         continue
-                    key = (label, expo, (i, j))
-                    s = terms.get(key, Cyclotomic.zero(M)) + P[p][q] * a
-                    if s:
-                        terms[key] = s
-                    else:
-                        terms.pop(key, None)
+                    linalg.add_into(terms, (label, expo, (i, j)), P[p][q] * a)
     return PolyVectorField(group, terms)
 
 

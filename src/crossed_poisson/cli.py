@@ -330,11 +330,16 @@ def monomial_literal(expo):
 # structure files
 # ---------------------------------------------------------------------------
 
+def _is_int(value):
+    """A JSON integer; true and false are Python ints but are refused."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(doc, key, kind, what):
     if key not in doc:
         raise InputError(f"missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise InputError(f"field {key!r} must be {what}")
     return value
 
@@ -371,7 +376,7 @@ def parse_structure_file(text, max_group_order=DEFAULT_GROUP_ORDER_CAP):
         for row in raw:
             out = []
             for entry in row:
-                if isinstance(entry, int):
+                if _is_int(entry):
                     out.append(Cyclotomic.rational(conductor, entry))
                 elif isinstance(entry, str):
                     try:
@@ -415,7 +420,7 @@ def parse_structure_file(text, max_group_order=DEFAULT_GROUP_ORDER_CAP):
         except LiteralError as e:
             raise InputError(f"{where}: {e}")
         wedge = term["wedge"]
-        if not all(isinstance(i, int) and 0 <= i < dim for i in wedge):
+        if not all(_is_int(i) and 0 <= i < dim for i in wedge):
             raise InputError(f"{where}: wedge indices must lie in 0..{dim - 1}")
         if len(set(wedge)) != len(wedge):
             raise InputError(f"{where}: wedge indices must be distinct")
@@ -431,11 +436,12 @@ def parse_structure_file(text, max_group_order=DEFAULT_GROUP_ORDER_CAP):
 
     weights = doc.get("hbar_weights", [1, 2])
     if not (isinstance(weights, list) and len(weights) == 2
-            and all(isinstance(w, int) and w >= 1 for w in weights)):
+            and all(_is_int(w) and w >= 1 for w in weights)):
         raise InputError("field 'hbar_weights' must be two positive integers")
     swap = doc.get("reality_swap")
     if swap is not None:
-        if not (isinstance(swap, list) and sorted(swap) == list(range(dim))):
+        if not (isinstance(swap, list) and all(_is_int(i) for i in swap)
+                and sorted(swap) == list(range(dim))):
             raise InputError("field 'reality_swap' must be a permutation "
                              f"of 0..{dim - 1}")
         swap = tuple(swap)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .scalars import Cyclotomic
-from .linalg import Span
+from .linalg import Span, add_into
 from .polyvec import (
     PolyVectorField,
     average,
@@ -49,10 +49,6 @@ def _monomials(m, cap):
     rec([], cap)
     out.sort(key=lambda e: (sum(e), e))
     return out
-
-
-def _vectorize(field):
-    return dict(field.terms)
 
 
 class TruncatedComplex:
@@ -96,7 +92,7 @@ class TruncatedComplex:
                     image = pr(average(raw))
                     if image.is_zero():
                         continue
-                    if span.insert(_vectorize(image), meta=len(fields)):
+                    if span.insert(image.terms, meta=len(fields)):
                         fields.append(image)
                         degs.append(sum(expo))
         return fields, degs, span
@@ -110,13 +106,10 @@ class TruncatedComplex:
             if img.is_zero():
                 cols.append({})
                 continue
-            combo = target.coordinates(_vectorize(img))
+            combo = target.coordinates(img.terms)
             if combo is None:
                 raise RuntimeError("differential left the assembled space")
-            col = {}
-            for meta, c in combo:
-                col[meta] = col[meta] + c if meta in col else c
-            cols.append({r: v for r, v in col.items() if v})
+            cols.append(dict(combo))   # one entry per meta, each nonzero
         return cols
 
     def _assert_square_zero(self, j):
@@ -125,12 +118,7 @@ class TruncatedComplex:
             acc = {}
             for row, c in col.items():
                 for row2, c2 in second[row].items():
-                    s = acc.get(row2)
-                    s = c * c2 if s is None else s + c * c2
-                    if s:
-                        acc[row2] = s
-                    elif row2 in acc:
-                        del acc[row2]
+                    add_into(acc, row2, c * c2)
             if acc:
                 raise RuntimeError("the assembled differential does not square to zero")
 
@@ -169,7 +157,7 @@ class TruncatedComplex:
                 if img.is_zero():
                     continue
                 col = {}
-                for key, c in _vectorize(img).items():
+                for key, c in img.terms.items():
                     tag = "hi" if sum(key[1]) > d else "lo"
                     col[(tag, key)] = c
                 col[("src", idx)] = _one(self.group)
@@ -183,10 +171,10 @@ class TruncatedComplex:
         # quotient representatives: cocycles independent modulo the boundaries
         mod = Span()
         for field in image_fields:
-            mod.insert(_vectorize(field))
+            mod.insert(field.terms)
         representatives = []
         for field in kernel_fields:
-            if mod.insert(_vectorize(field)):
+            if mod.insert(field.terms):
                 representatives.append(field)
         return CohomologyReport(
             degree=k,
@@ -207,7 +195,7 @@ def _label_dims(fields):
     for gi in labels:
         span = Span()
         for f in fields:
-            span.insert(_vectorize(f.restrict_label(gi)))
+            span.insert(f.restrict_label(gi).terms)
         out[gi] = span.size
     return out
 
@@ -255,21 +243,3 @@ def h_truncated(pair, k, d):
         raise UnsupportedDegreeError("cochain degree must be 0, 1, or 2")
     return TruncatedComplex(pair, d + 1).cohomology(k, d)
 
-
-def compare_h0(pair, d):
-    """Dimensions of degree-0 cohomology for the pair and for its identity part.
-
-    For abelian groups the two agree; the comparison is computed, not
-    assumed.
-    """
-    full = h_truncated(pair, 0, d).dimension
-    restricted = type(pair)(
-        pair.group,
-        pi=pair.pi.restrict_label(0),
-        b=pair.b.restrict_label(0),
-        w_pi=pair.w_pi,
-        w_b=pair.w_b,
-        reality_swap=pair.reality_swap,
-    )
-    identity_only = h_truncated(restricted, 0, d).dimension
-    return full, identity_only

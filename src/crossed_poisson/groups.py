@@ -183,10 +183,6 @@ class MatrixGroup:
             self._classes = classes
         return self._classes
 
-    def centralizer(self, i):
-        return [g for g in range(len(self.elements))
-                if self.mul[g][i] == self.mul[i][g]]
-
     # -- geometry ---------------------------------------------------------------
 
     def hermitian_form(self):
@@ -239,17 +235,6 @@ class MatrixGroup:
 
     def codim(self, i):
         return self.geometry(i).codim
-
-    def codim_class_counts(self):
-        """Number of conjugacy classes at each fixed-space codimension."""
-        counts = {}
-        for cls in self.conjugacy_classes():
-            cds = {self.codim(i) for i in cls}
-            if len(cds) != 1:
-                raise GeometryError("codimension not constant on a class")
-            cd = cds.pop()
-            counts[cd] = counts.get(cd, 0) + 1
-        return counts
 
 
 def generate(generators, conductor, max_order=512):

@@ -2,13 +2,17 @@
 
 A sparse vector is a dict {key: Cyclotomic} holding nonzero entries only;
 keys are column indices for the matrices here and term keys for the cochain
-spaces of cohom.  Every elimination runs on one Span: each inserted vector is
-reduced against the stored ones and, if anything is left, stored under its
-smallest key, its pivot.  Pivots are therefore taken in column order, so the
-pivot columns of a matrix are its first independent columns, and a solution
-read with the free variables at zero is the one the reduced row echelon form
-gives.  Dense matrices (lists of lists) are accepted at the public entry
-points and converted row by row.
+spaces of cohom.  add_into is the one sparse sum that keeps this rule, for
+Cyclotomic and HScalar values alike; the polynomial, field, normal-form and
+star-product sums of the other modules go through it too.
+
+Every elimination runs on one Span: each inserted vector is reduced against
+the stored ones and, if anything is left, stored under its smallest key, its
+pivot.  Pivots are therefore taken in column order, so the pivot columns of a
+matrix are its first independent columns, and a solution read with the free
+variables at zero is the one the reduced row echelon form gives.  Dense
+matrices (lists of lists) are accepted at the public entry points and
+converted row by row.
 """
 
 from __future__ import annotations
@@ -16,10 +20,18 @@ from __future__ import annotations
 from .scalars import Cyclotomic
 
 
-def identity_matrix(M, n):
-    one = Cyclotomic.one(M)
-    zero = Cyclotomic.zero(M)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def add_into(vec, key, v):
+    """Add v at key of the sparse dict vec, deleting the key if the sum is zero.
+
+    v may be any value with + and truthiness; a zero v at an absent key
+    stores nothing.
+    """
+    s = vec.get(key)
+    s = v if s is None else s + v
+    if s:
+        vec[key] = s
+    elif key in vec:
+        del vec[key]
 
 
 def mat_mul(A, B):
@@ -54,10 +66,6 @@ def mat_vec(A, v):
     return out
 
 
-def mat_eq(A, B):
-    return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
-
-
 class Span:
     """A growing echelon span of sparse vectors.
 
@@ -76,7 +84,8 @@ class Span:
         """Clear the pivot keys off vec, smallest first; returns (residue, combo).
 
         The residue is empty or leads at a key that is no pivot; combo lists
-        (meta, c) for each stored vector subtracted c times.
+        (meta, c) for each stored vector subtracted c times.  The leads only
+        grow, so each stored vector appears in combo at most once.
         """
         vec = dict(vec)
         combo = []
@@ -88,13 +97,9 @@ class Span:
                 break
             row, meta, inv = hit
             c = vec[lead] * inv
+            neg = -c
             for key, v in row.items():
-                s = vec.get(key)
-                s = -v * c if s is None else s - v * c
-                if s:
-                    vec[key] = s
-                elif key in vec:
-                    del vec[key]
+                add_into(vec, key, v * neg)
             combo.append((meta, c))
         return vec, combo
 
@@ -143,14 +148,9 @@ def _reduced(span):
         row, _, inv = span.pivots[lead]
         row = {key: v * inv for key, v in row.items()}
         for c in [c for c in row if c != lead and c in out]:
-            f = row[c]
+            neg = -row[c]
             for key, v in out[c].items():
-                s = row.get(key)
-                s = -v * f if s is None else s - v * f
-                if s:
-                    row[key] = s
-                elif key in row:
-                    del row[key]
+                add_into(row, key, v * neg)
         out[lead] = row
     return out
 

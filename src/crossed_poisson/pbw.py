@@ -106,9 +106,6 @@ class DeformedAlgebra:
         e[i] = 1
         return NCElement(self, {(tuple(e), 0): HScalar.one(self.M)})
 
-    def group_element(self, gi):
-        return NCElement(self, {((0,) * self.m, gi): HScalar.one(self.M)})
-
     def monomial(self, expo, gi, coeff=None):
         if coeff is None:
             coeff = HScalar.one(self.M)
@@ -126,38 +123,19 @@ class DeformedAlgebra:
         """Normal-form expansion of a word of ('x', i) / ('g', gi) letters.
 
         Returns a dict {(expo, label): HScalar}.  The strategy rewrites the
-        leftmost reducible adjacent pair first; results are memoized since
-        distinct reduction branches reconverge on shared subwords.
+        leftmost reducible adjacent pair first, by the one rule function
+        _one_step that overlap_confluence applies too; results are memoized
+        since distinct reduction branches reconverge on shared subwords.
         """
         letters = tuple(letters)
         hit = self._memo.get(letters)
         if hit is not None:
             return hit
-        group = self.group
         for k in range(len(letters) - 1):
             a, b = letters[k], letters[k + 1]
-            if a[0] == "g" and b[0] == "g":
-                merged = letters[:k] + (("g", group.mul[a[1]][b[1]]),) + letters[k + 2:]
-                out = dict(self.reduce_letters(merged))
-                break
-            if a[0] == "g" and b[0] == "x":
-                G = group.matrix(a[1])
-                out = {}
-                for j in range(self.m):
-                    c = G[b[1]][j]
-                    if c.is_zero():
-                        continue
-                    w2 = letters[:k] + (("x", j), a) + letters[k + 2:]
-                    _accumulate(out, self.reduce_letters(w2), HScalar.const(c))
-                break
-            if a[0] == "x" and b[0] == "x" and a[1] > b[1]:
-                swapped = letters[:k] + (b, a) + letters[k + 2:]
-                out = dict(self.reduce_letters(swapped))
-                for g, ins, coeff in self._corr.get((a[1], b[1]), ()):
-                    w2 = (letters[:k]
-                          + tuple(("x", t) for t in ins)
-                          + (("g", g),) + letters[k + 2:])
-                    _accumulate(out, self.reduce_letters(w2), coeff)
+            # g g, g x and x_i x_j with i > j are the redexes
+            if a[0] == "g" or (b[0] == "x" and a[1] > b[1]):
+                out = _reduce_sum(self, _one_step(self, letters, k))
                 break
         else:
             # no redex: ascending x's followed by at most one group letter
@@ -169,22 +147,15 @@ class DeformedAlgebra:
                 else:
                     label = a[1]
             out = {(tuple(e), label): HScalar.one(self.M)}
-        out = {k: v for k, v in out.items() if v.parts}
         self._memo[letters] = out
         return out
 
 
 def _accumulate(dst, src, factor):
+    """Add factor times src into dst; a unit factor is not multiplied out."""
+    unit = factor.parts == (Cyclotomic.one(factor.M),)
     for key, val in src.items():
-        v = val * factor
-        if not v.parts:
-            continue
-        s = dst.get(key)
-        s = v if s is None else s + v
-        if s.parts:
-            dst[key] = s
-        elif key in dst:
-            del dst[key]
+        linalg.add_into(dst, key, val if unit else val * factor)
 
 
 class NCElement:
@@ -290,9 +261,6 @@ class BGReport:
         return (not self.bg1_failures and not self.bg2_residues
                 and not self.bg3_residues)
 
-    # historical spelling, same meaning
-    ok = passed
-
     def __repr__(self):
         if self.passed:
             return "BGReport(ok)"
@@ -359,7 +327,8 @@ def _one_step(alg, letters, k):
     """Apply the (unique) rewrite rule at position k once.
 
     Returns a dict {letter word: HScalar}.  The caller guarantees that the
-    adjacent pair at k is a redex.
+    adjacent pair at k is a redex: g g (the group law), g x (moving the
+    group letter right) or x_i x_j with i > j (the swap and its corrections).
     """
     group = alg.group
     a, b = letters[k], letters[k + 1]
@@ -378,8 +347,7 @@ def _one_step(alg, letters, k):
         for g, ins, coeff in alg._corr.get((a[1], b[1]), ()):
             w2 = (letters[:k] + tuple(("x", t) for t in ins)
                   + (("g", g),) + letters[k + 2:])
-            s = out.get(w2)
-            out[w2] = coeff if s is None else s + coeff
+            linalg.add_into(out, w2, coeff)
     return out
 
 

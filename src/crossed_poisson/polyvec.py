@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .linalg import add_into
 from .scalars import Cyclotomic, Q
 
 
@@ -37,12 +38,7 @@ class InvarianceError(ValueError):
 def p_add(a, b):
     out = dict(a)
     for e, v in b.items():
-        s = out.get(e)
-        s = v if s is None else s + v
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
+        add_into(out, e, v)
     return out
 
 
@@ -56,19 +52,8 @@ def p_mul(a, b):
     out = {}
     for e1, v1 in a.items():
         for e2, v2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            prod = v1 * v2
-            s = out.get(e)
-            s = prod if s is None else s + prod
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+            add_into(out, tuple(x + y for x, y in zip(e1, e2)), v1 * v2)
     return out
-
-
-def p_degree(p):
-    return max((sum(e) for e in p), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +135,7 @@ class PolyVectorField:
         return cls(group, {(label, tuple(expo), w): coeff if sign == 1 else -coeff})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return PolyVectorField(self.group, out)
+        return PolyVectorField(self.group, p_add(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -196,12 +173,6 @@ class PolyVectorField:
             self.group,
             {k: v for k, v in self.terms.items() if k[0] == gi})
 
-    def max_poly_degree(self):
-        return max((sum(e) for _, e, _ in self.terms), default=0)
-
-    def wedge_degrees(self):
-        return sorted({len(w) for _, _, w in self.terms})
-
     def sorted_items(self):
         return sorted(self.terms.items(),
                       key=lambda kv: (kv[0][0], len(kv[0][2]), kv[0][2], kv[0][1]))
@@ -224,7 +195,7 @@ def _zero_expo(m):
 
 
 # ---------------------------------------------------------------------------
-# group action, invariance, reality
+# group action and invariance
 # ---------------------------------------------------------------------------
 
 class LinearSubstitution:
@@ -278,14 +249,7 @@ def _transform_terms(items, sub, label_map):
         for e2, pc in sub.monomial(expo).items():
             pc = pc * c
             for T, d in imgs.items():
-                key = (new_label, e2, T)
-                v = pc * d
-                s = out.get(key)
-                s = v if s is None else s + v
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                add_into(out, (new_label, e2, T), pc * d)
     return out
 
 
@@ -308,47 +272,6 @@ def average(X):
     for g in range(group.order):
         total = total + act(g, X)
     return total.scale(Cyclotomic.rational(group.M, Q(1, group.order)))
-
-
-def conjugate_swap(X, swap):
-    """The antilinear involution: conjugate scalars, permute coordinates."""
-    group = X.group
-    m, M = group.dim, group.M
-    perm = tuple(swap)
-    if sorted(perm) != list(range(m)):
-        raise ValueError("swap must be a permutation of the coordinates")
-    # transport each label's matrix: P conj(G) P^-1 must be in the group
-    label_map = {}
-    for gi in {k[0] for k in X.terms}:
-        G = group.matrix(gi)
-        moved = [[Cyclotomic.zero(M)] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                moved[perm[i]][perm[j]] = G[i][j].conjugate()
-        key = tuple(tuple(row) for row in moved)
-        tgt = group.index.get(key)
-        if tgt is None:
-            raise ValueError("conjugated label leaves the group")
-        label_map[gi] = tgt
-    out = {}
-    for (gi, expo, wedge), c in X.terms.items():
-        e2 = [0] * m
-        for i, p in enumerate(expo):
-            e2[perm[i]] = p
-        sign, w2 = wedge_sort(tuple(perm[i] for i in wedge))
-        key = (label_map[gi], tuple(e2), w2)
-        v = c.conjugate() if sign == 1 else -c.conjugate()
-        s = out.get(key)
-        s = v if s is None else s + v
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return PolyVectorField(group, out)
-
-
-def is_real(X, swap):
-    return conjugate_swap(X, swap) == X
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +297,8 @@ def koszul_differential(X):
                     continue
                 e2 = list(expo)
                 e2[j] += 1
-                key = (gi, tuple(e2), w2)
                 v = c * a
-                if sign < 0:
-                    v = -v
-                s = out.get(key)
-                s = v if s is None else s + v
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                add_into(out, (gi, tuple(e2), w2), v if sign > 0 else -v)
     return PolyVectorField(group, out)
 
 
@@ -395,17 +310,6 @@ def _schouten_terms(A, B, label_fn):
     """Shared engine for the bracket; ``label_fn(ga, gb)`` assigns labels."""
     group = A.group
     out = {}
-
-    def add(key, v):
-        if not v:
-            return
-        s = out.get(key)
-        s = v if s is None else s + v
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-
     for (ga, ea, wa), ca in A.terms.items():
         for (gb, eb, wb), cb in B.terms.items():
             label = label_fn(ga, gb)
@@ -422,7 +326,7 @@ def _schouten_terms(A, B, label_fn):
                     e2[t] += p
                 e2[i] -= 1
                 sgn = msign if (len(wa) - 1 - pos) % 2 == 0 else -msign
-                add((label, tuple(e2), wm), cab * (eb[i] * sgn))
+                add_into(out, (label, tuple(e2), wm), cab * (eb[i] * sgn))
             # - sum_i (d/dx_i of A) * (left d/dtheta_i of B), A's wedge first
             for pos, i in enumerate(wb):
                 if not ea[i]:
@@ -435,7 +339,7 @@ def _schouten_terms(A, B, label_fn):
                     e2[t] += p
                 e2[i] -= 1
                 sgn = msign if pos % 2 == 0 else -msign
-                add((label, tuple(e2), wm), cab * (-ea[i] * sgn))
+                add_into(out, (label, tuple(e2), wm), cab * (-ea[i] * sgn))
     return PolyVectorField(group, out)
 
 
@@ -464,7 +368,7 @@ class StructurePair:
     b:  terms of polynomial degree 0 and wedge degree 2
     The weights (w_pi, w_b) say which hbar powers the two parts carry in the
     rewriting rules; reality_swap optionally declares the coordinate pairing
-    used by the reality check.
+    of the reality check, which lives in the tests (tests/oracles.py).
     """
 
     __slots__ = ("group", "pi", "b", "w_pi", "w_b", "reality_swap")
@@ -587,13 +491,7 @@ class BracketEngine:
         for (i, j, k) in combinations(range(self.m), 3):
             for label, poly in self.trilinear(outer_slots, i, j, k).items():
                 for expo, cc in poly.items():
-                    key = (label, expo, (i, j, k))
-                    s = terms.get(key)
-                    s = cc if s is None else s + cc
-                    if s:
-                        terms[key] = s
-                    elif key in terms:
-                        del terms[key]
+                    add_into(terms, (label, expo, (i, j, k)), cc)
         return PolyVectorField(group, terms)
 
 
@@ -608,14 +506,8 @@ def _slot_eval(slots, v):
     out = {}
     for expo, c, s in slots:
         d = v[s]
-        if not d:
-            continue
-        t = out.get(expo)
-        t = c * d if t is None else t + c * d
-        if t:
-            out[expo] = t
-        elif expo in out:
-            del out[expo]
+        if d:
+            add_into(out, expo, c * d)
     return out
 
 

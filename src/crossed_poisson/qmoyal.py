@@ -14,7 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .scalars import Cyclotomic, HScalar, Q, q_binomial, q_factorial, q_integer, root_of_unity
+from .linalg import add_into
+from .scalars import Cyclotomic, HScalar, Q, q_factorial, q_integer, root_of_unity
 
 
 class StarError(ValueError):
@@ -80,13 +81,11 @@ class QPoly:
             raise ValueError("cyclic order must be positive")
         self.n = n
         self.M = _conductor(n)
-        clean = {}
+        self.terms = {}
         for (a, b, k), c in terms.items():
             if a < 0 or b < 0:
                 raise ValueError("negative exponent in crossed-product term")
-            key = (a, b, k % n)
-            clean[key] = clean[key] + c if key in clean else c
-        self.terms = {key: c for key, c in clean.items() if not c.is_zero()}
+            add_into(self.terms, (a, b, k % n), c)
 
     @classmethod
     def zero(cls, n):
@@ -123,7 +122,7 @@ class QPoly:
         self._check_same(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out[key] + c if key in out else c
+            add_into(out, key, c)
         return QPoly(self.n, out)
 
     def __sub__(self, other):
@@ -143,9 +142,8 @@ class QPoly:
         out = {}
         for (a, b, k), c1 in self.terms.items():
             for (c, d, l), c2 in other.terms.items():
-                key = (a + c, b + d, (k + l) % self.n)
-                piece = c1 * c2 * pow(q, (k * (c - d)) % self.n)
-                out[key] = out[key] + piece if key in out else piece
+                add_into(out, (a + c, b + d, (k + l) % self.n),
+                         c1 * c2 * pow(q, (k * (c - d)) % self.n))
         return QPoly(self.n, out)
 
     def at_h_zero(self):
@@ -201,28 +199,10 @@ class QPoly:
         return f"QPoly({self.n}: {self.to_literal()})"
 
 
-def rotate(F, power=1):
-    """Apply the group action z -> q^power z, zbar -> q^{-power} zbar termwise."""
-    q = _unit_q(F.n)
-    return QPoly(
-        F.n,
-        {
-            (a, b, k): c * pow(q, (power * (a - b)) % F.n)
-            for (a, b, k), c in F.terms.items()
-        },
-    )
-
-
 def sigma_z(F):
     """Substitute z -> q z, leaving zbar alone."""
     q = _unit_q(F.n)
     return QPoly(F.n, {(a, b, k): c * pow(q, a % F.n) for (a, b, k), c in F.terms.items()})
-
-
-def sigma_zbar(F):
-    """Substitute zbar -> q^{-1} zbar, leaving z alone."""
-    q = _unit_q(F.n)
-    return QPoly(F.n, {(a, b, k): c * pow(q, (-b) % F.n) for (a, b, k), c in F.terms.items()})
 
 
 def d_z(F):
@@ -232,9 +212,7 @@ def d_z(F):
     for (a, b, k), c in F.terms.items():
         if a == 0:
             continue
-        key = (a - 1, b, k)
-        piece = c * q_integer(a, q)
-        out[key] = out[key] + piece if key in out else piece
+        add_into(out, (a - 1, b, k), c * q_integer(a, q))
     return QPoly(F.n, out)
 
 
@@ -245,9 +223,7 @@ def d_zbar(F):
     for (a, b, k), c in F.terms.items():
         if b == 0:
             continue
-        key = (a, b - 1, k)
-        piece = c * q_integer(b, qinv)
-        out[key] = out[key] + piece if key in out else piece
+        add_into(out, (a, b - 1, k), c * q_integer(b, qinv))
     return QPoly(F.n, out)
 
 
@@ -260,61 +236,6 @@ def _divide_exact(F, z_drop, zbar_drop):
             )
         out[(a - z_drop, b - zbar_drop, k)] = c
     return QPoly(F.n, out)
-
-
-def d_z_closed(m, F):
-    """The m-fold z-difference in one shot, as an alternating sum of scalings.
-
-    Agrees with m iterated applications of d_z; in particular it returns zero
-    whenever m reaches the cyclic order.
-    """
-    if m < 0:
-        raise ValueError("negative iteration count")
-    if m == 0:
-        return F
-    n = F.n
-    if n == 1:
-        raise StarError("the closed form needs a nontrivial root of unity")
-    q = _unit_q(n)
-    acc = QPoly.zero(n)
-    scaled = F
-    # scaled walks through sigma_z^{m-i}(F) as i runs from m down to 0.
-    coeffs = [
-        q_binomial(m, i, q) * pow(q, (i * (i - 1) // 2) % n) * (1 if (m - i) % 2 == 0 else -1)
-        for i in range(m + 1)
-    ]
-    for i in range(m, -1, -1):
-        acc = acc + scaled.scale(coeffs[i])
-        if i > 0:
-            scaled = sigma_z(scaled)
-    denom = pow(Cyclotomic.one(F.M) - q, m) * pow(q, (m * (m - 1) // 2) % n)
-    return _divide_exact(acc.scale(denom.invert()), m, 0)
-
-
-def q_leibniz(k, F, G):
-    """Expand the k-fold z-difference of a product of plain polynomials.
-
-    Returns sum_i [k choose i]_q d_z^i(F) sigma_z^i(d_z^{k-i}(G)), which equals
-    d_z applied k times to F*G.
-    """
-    if k < 0:
-        raise ValueError("negative iteration count")
-    F._check_same(G)
-    if any(key[2] for key in F.terms) or any(key[2] for key in G.terms):
-        raise StarError("the product rule expects plain polynomial factors")
-    q = _unit_q(F.n)
-    left = F
-    rights = [G]
-    for _ in range(k):
-        rights.append(d_z(rights[-1]))
-    acc = QPoly.zero(F.n)
-    for i in range(k + 1):
-        right = rights[k - i]
-        for _ in range(i):
-            right = sigma_z(right)
-        acc = acc + (left * right).scale(q_binomial(k, i, q))
-        left = d_z(left)
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -362,8 +283,7 @@ def star(F, G):
         for key2, c2 in G.terms.items():
             base = c1 * c2
             for key3, j, piece in _mono_star(n, *key1, *key2):
-                summand = base.shift(j) * piece
-                out[key3] = out[key3] + summand if key3 in out else summand
+                add_into(out, key3, base.shift(j) * piece)
     return QPoly(n, out)
 
 

@@ -28,16 +28,16 @@ from crossed_poisson.polyvec import (
     koszul_differential,
     poisson_differential,
 )
-from crossed_poisson.cohom import compare_h0, h_truncated
+from crossed_poisson.cohom import h_truncated
 from crossed_poisson.qmoyal import (
     QPoly,
     center_lift,
     center_relation,
     d_z,
-    d_z_closed,
     is_central,
     star,
 )
+from oracles import compare_h0, d_z_closed
 from crossed_poisson.scalars import Cyclotomic, HScalar, Q, root_of_unity
 
 

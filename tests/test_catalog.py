@@ -13,9 +13,9 @@ from crossed_poisson.polyvec import (
     InvarianceError,
     PolyVectorField,
     StructurePair,
-    is_real,
     schouten,
 )
+from oracles import is_real
 
 OMEGA2 = [[0, 1], [-1, 0]]
 

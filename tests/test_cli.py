@@ -149,6 +149,14 @@ def test_structure_file_validation_messages():
     reject(lambda d: d["structure"][0].update(poly="x0^2"), "degree 2")
     reject(lambda d: d.update(hbar_weights=[1]), "two positive integers")
     reject(lambda d: d.update(reality_swap=[0, 0]), "permutation")
+    # JSON true and false are Python ints, but no integer field takes them
+    reject(lambda d: d.update(conductor=True), "'conductor' must be a positive")
+    reject(lambda d: d.update(dimension=True), "'dimension' must be a positive")
+    reject(lambda d: d["generators"][0][0].__setitem__(1, False),
+           "entries must be integers")
+    reject(lambda d: d["structure"][0].update(wedge=[False, True]), "lie in 0..1")
+    reject(lambda d: d.update(hbar_weights=[True, 2]), "two positive integers")
+    reject(lambda d: d.update(reality_swap=[True, False]), "permutation")
     assert doc["conductor"] == 1
 
 

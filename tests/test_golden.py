@@ -59,6 +59,15 @@ NON_INVARIANT = {
     "hbar_weights": [1, 2],
 }
 
+# integer fields spelled as JSON booleans, which Python reads as 0 and 1:
+# broken input, exit 2
+BOOLEAN_INTEGERS = {
+    "conductor": True, "dimension": 2,
+    "generators": [[[False, True], [True, False]]],
+    "structure": [{"label": "e", "poly": "1", "wedge": [False, True], "coeff": "1"}],
+    "hbar_weights": [True, 2],
+}
+
 # x2 e0^e1 + x1 e1^e2 is invariant but fails the Jacobi identity
 NON_POISSON = {
     "conductor": 1, "dimension": 3,
@@ -113,6 +122,7 @@ def _cases():
          _no_input),
         ("center_relation_n1_error", ["center-relation", "--n", "1"], _no_input),
         ("check_bg_broken_json", ["check-bg"], lambda: "{broken"),
+        ("check_bg_boolean_integers", ["check-bg"], _doc(BOOLEAN_INTEGERS)),
         ("cohomology_degree3_error", ["cohomology", "--degree", "3", "--polydeg", "2"],
          _emitted(lambda: catalog.z2_r3_linear(1))),
     ]

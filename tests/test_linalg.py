@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from crossed_poisson.scalars import Cyclotomic, root_of_unity
+from crossed_poisson.scalars import Cyclotomic, HScalar, root_of_unity
 from crossed_poisson import linalg
+from oracles import identity_matrix, mat_eq
 
 
 def _r(M, a):
@@ -132,10 +133,43 @@ def test_mat_inv_inverts_and_refuses_singular(seed=11):
             n = rng.randint(1, 6)
             A = _invertible_matrix(rng, M, n)
             inv = linalg.mat_inv(A, M)
-            assert linalg.mat_eq(linalg.mat_mul(inv, A),
-                                 linalg.identity_matrix(M, n))
+            assert mat_eq(linalg.mat_mul(inv, A), identity_matrix(M, n))
             if n > 1:
                 a = _random_scalar(rng, M)
                 A[0] = [a * x for x in A[1]]
                 with pytest.raises(ValueError):
                     linalg.mat_inv(A, M)
+
+
+# -- the sparse sum ------------------------------------------------------------
+
+@pytest.mark.parametrize("value", [
+    Cyclotomic(12, [1, -2, 0, 3]),
+    HScalar(12, [Cyclotomic.rational(12, 2), Cyclotomic.zero(12), root_of_unity(12)]),
+], ids=["cyclotomic", "hscalar"])
+def test_add_into_keeps_nonzero_entries_only(value):
+    vec = {}
+    linalg.add_into(vec, "k", value)
+    assert vec == {"k": value}
+    linalg.add_into(vec, "k", value)
+    assert vec == {"k": value + value}
+    linalg.add_into(vec, "k", -(value + value))
+    assert vec == {}
+    linalg.add_into(vec, "k", value - value)
+    assert vec == {}
+    linalg.add_into(vec, "other", value)
+    linalg.add_into(vec, "k", -value)
+    assert vec == {"other": value, "k": -value}
+
+
+def test_span_rows_hold_no_zero():
+    M = 4
+    one, i = Cyclotomic.one(M), root_of_unity(M)
+    span = linalg.Span()
+    assert span.insert({0: one, 1: i})
+    # reducing against the first row cancels keys 0 and 1
+    assert span.insert({0: one, 1: i, 2: one, 3: i})
+    assert not span.insert({0: i, 1: -one, 2: i, 3: -one})
+    rows = span.rows()
+    assert rows == [{0: one, 1: i}, {2: one, 3: i}]
+    assert all(v for row in rows for v in row.values())

@@ -6,18 +6,17 @@ import pytest
 from crossed_poisson.groups import generate
 from crossed_poisson.scalars import Cyclotomic, Q, root_of_unity
 from crossed_poisson.polyvec import (
+    LinearSubstitution,
     PolyVectorField,
     StructurePair,
     UnsupportedStructureError,
     BracketEngine,
     act,
     average,
-    conjugate_swap,
     gen_bracket_b_pi,
     gen_bracket_pi_pi,
     is_invariant,
     is_poisson,
-    is_real,
     koszul_differential,
     poisson_differential,
     pr,
@@ -30,6 +29,7 @@ from crossed_poisson.polyvec import (
 )
 
 from conftest import gamma1_group, random_pvf, trivial_group, z2_group
+from oracles import conjugate_swap, is_real
 
 
 def test_wedge_utilities():
@@ -401,3 +401,22 @@ def test_poisson_differential_of_center_candidate_vanishes():
     pair = heisenberg_like_pair()
     z = PolyVectorField.single(pair.group, 0, (0, 0, 1), (), 1)
     assert poisson_differential(pair, z).is_zero()
+
+
+def test_cancelling_products_store_no_zero():
+    M = 4
+    one = Cyclotomic.one(M)
+    x0_plus_x1 = {(1, 0): one, (0, 1): one}
+    x0_minus_x1 = {(1, 0): one, (0, 1): -one}
+    prod = p_mul(x0_plus_x1, x0_minus_x1)
+    assert prod == {(2, 0): one, (0, 2): -one}
+    # x0 -> x0 + x1 and x1 -> x0 - x1, so x0 x1 -> (x0 + x1)(x0 - x1)
+    r = [[Cyclotomic.rational(M, a) for a in row] for row in ((1, 1), (1, -1))]
+    w = [[Cyclotomic.rational(M, a) for a in row] for row in ((1, 0), (1, 1))]
+    sub = LinearSubstitution(r, w)
+    assert sub.monomial((1, 1)) == prod
+    # column 1 of w is (0, 1): the minor on row 0 is zero and not kept
+    assert sub.wedge((1,)) == {(1,): one}
+    assert sub.wedge((0, 1)) == {(0, 1): one}
+    for img in (prod, sub.monomial((2, 1)), sub.monomial((1, 2)), sub.wedge((0,))):
+        assert all(v for v in img.values())

@@ -13,16 +13,13 @@ from crossed_poisson.qmoyal import (
     center_lift,
     center_relation,
     d_z,
-    d_z_closed,
     d_zbar,
     is_central,
-    q_leibniz,
-    rotate,
     sigma_z,
-    sigma_zbar,
     star,
     star_power,
 )
+from oracles import d_z_closed, q_leibniz, rotate, sigma_zbar
 
 
 def unit(n):
@@ -121,6 +118,12 @@ def test_canonical_terms():
     F = QPoly(n, {(1, 0, 5): HScalar.one(12), (1, 0, 2): HScalar.one(12)})
     assert F == QPoly.monomial(n, 1, 0, 2, 2)
     assert QPoly(n, {(0, 0, 0): HScalar.zero(12)}).is_zero()
+    # k and k + n name the same group power, so these cancel
+    assert QPoly(n, {(1, 0, 1): HScalar.one(12), (1, 0, 4): -HScalar.one(12)}).terms == {}
+    z, zb = QPoly.z(n), QPoly.zbar(n)
+    assert (z + zb) * (z - zb) == QPoly.monomial(n, 2, 0) - QPoly.monomial(n, 0, 2)
+    for F in ((z + zb) * (z - zb), star(z + zb, z - zb), (z + zb) - (zb + z)):
+        assert all(c for c in F.terms.values())
     with pytest.raises(ValueError):
         QPoly(n, {(-1, 0, 0): HScalar.one(12)})
 
