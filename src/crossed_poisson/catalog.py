@@ -77,12 +77,6 @@ class CatalogEntry:
 # shared input normalization
 # ---------------------------------------------------------------------------
 
-def _scalar(M, v):
-    if isinstance(v, Cyclotomic):
-        return v.promote(M)
-    return Cyclotomic.rational(M, v)
-
-
 def _param_conductor(v):
     return v.M if isinstance(v, Cyclotomic) else 1
 
@@ -97,7 +91,7 @@ def _class_constants(group, c):
     """
     M = group.M
     if not isinstance(c, dict):
-        v = _scalar(M, c)
+        v = Cyclotomic.of(M, c)
         return {g: v for g in range(group.order) if group.codim(g) == 2}
     resolved = {}
     for key, raw in c.items():
@@ -110,7 +104,7 @@ def _class_constants(group, c):
             gi = int(key)
             if not 0 <= gi < group.order:
                 raise ClassFunctionError(f"no element with index {gi}")
-        v = _scalar(M, raw)
+        v = Cyclotomic.of(M, raw)
         if gi in resolved and resolved[gi] != v:
             raise ClassFunctionError(f"conflicting values for element {gi}")
         resolved[gi] = v
@@ -190,7 +184,7 @@ def symplectic_reflection(group, omega, c):
     m = group.dim
     if len(omega) != m or any(len(row) != m for row in omega):
         raise CatalogError("form must be a square matrix of the group dimension")
-    Omega = [[_scalar(M, a) for a in row] for row in omega]
+    Omega = [[Cyclotomic.of(M, a) for a in row] for row in omega]
     for i in range(m):
         for j in range(m):
             if Omega[i][j] != -Omega[j][i]:
@@ -225,9 +219,9 @@ def z2_constant(c):
     flip only (no identity part)."""
     M = _param_conductor(c)
     G = groups.generate([[[-1, 0], [0, -1]]], M, max_order=2)
-    b = PolyVectorField.single(G, 1, (0, 0), (0, 1), -_scalar(M, c))
+    b = PolyVectorField.single(G, 1, (0, 0), (0, 1), -Cyclotomic.of(M, c))
     pair = StructurePair(G, b=b, w_pi=1, w_b=1)
-    return CatalogEntry("z2_constant", G, pair, {"c": _scalar(M, c)})
+    return CatalogEntry("z2_constant", G, pair, {"c": Cyclotomic.of(M, c)})
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +262,7 @@ def lie_poisson_family(group, bracket, c):
         if not 0 <= i < j < m:
             raise CatalogError("bracket keys must be index pairs i < j")
         for k, raw in row.items():
-            v = _scalar(M, raw)
+            v = Cyclotomic.of(M, raw)
             if not v:
                 continue
             terms[(0, _unit_expo(m, k), (i, j))] = v
@@ -335,7 +329,7 @@ def gamma_n_family(n, c0, a=None):
              for k in range(order)}
     beta = {k: G.index[tuple(tuple(r) for r in _swap_matrix(M, step, k))]
             for k in range(order)}
-    c0 = _scalar(M, c0)
+    c0 = Cyclotomic.of(M, c0)
     c0b = c0.conjugate()
 
     pi = PolyVectorField.zero(G)
@@ -349,7 +343,7 @@ def gamma_n_family(n, c0, a=None):
             for w, wc in wedges:
                 pi = pi + PolyVectorField.single(G, label, e, w, pc * wc)
 
-    a_val = _scalar(M, a) if a is not None else None
+    a_val = Cyclotomic.of(M, a) if a is not None else None
     if a_val:
         if rho(3) != Cyclotomic.one(M):
             raise AdmissibilityError(

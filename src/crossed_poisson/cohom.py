@@ -92,8 +92,11 @@ class TruncatedComplex:
                     image = pr(average(raw))
                     if image.is_zero():
                         continue
-                    if span.insert(image.terms, meta=len(fields)):
-                        fields.append(image)
+                    # the stored row, not the image, is the basis field:
+                    # span coordinates are taken over the stored rows
+                    row = span.insert(image.terms, meta=len(fields))
+                    if row is not None:
+                        fields.append(image._like(row))
                         degs.append(sum(expo))
         return fields, degs, span
 
@@ -153,21 +156,13 @@ class TruncatedComplex:
         image_fields = []
         if k > 0:
             high = Span()
-            for idx, img in enumerate(self._images[k - 1]):
-                if img.is_zero():
-                    continue
-                col = {}
-                for key, c in img.terms.items():
-                    tag = "hi" if sum(key[1]) > d else "lo"
-                    col[(tag, key)] = c
-                col[("src", idx)] = _one(self.group)
-                high.insert(col)
+            for img in self._images[k - 1]:
+                high.insert({("hi" if sum(key[1]) > d else "lo", key): c
+                             for key, c in img.terms.items()})
             for residue in high.rows():
-                if any(tag == "hi" for tag, _ in residue):
-                    continue
-                vec = {key: c for (tag, key), c in residue.items() if tag == "lo"}
-                if vec:
-                    image_fields.append(PolyVectorField(self.group, vec))
+                if all(tag == "lo" for tag, _ in residue):
+                    image_fields.append(PolyVectorField(
+                        self.group, {key: c for (_, key), c in residue.items()}))
         # quotient representatives: cocycles independent modulo the boundaries
         mod = Span()
         for field in image_fields:

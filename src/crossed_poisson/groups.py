@@ -13,6 +13,8 @@ coordinates used by projections and cohomology.
 
 from __future__ import annotations
 
+import re
+
 from .scalars import Cyclotomic, Q
 from . import linalg
 from .polyvec import LinearSubstitution
@@ -27,8 +29,7 @@ class GeometryError(RuntimeError):
 
 
 def _as_matrix(rows, M):
-    return tuple(tuple(a if isinstance(a, Cyclotomic) else Cyclotomic.rational(M, a)
-                       for a in row) for row in rows)
+    return tuple(tuple(Cyclotomic.of(M, a) for a in row) for row in rows)
 
 
 def _conj_transpose(A):
@@ -146,21 +147,19 @@ class MatrixGroup:
         idx = 0
         for chunk in word.split("*"):
             chunk = chunk.strip()
-            if "^" in chunk:
-                sym, exp = chunk.split("^")
-                exp = int(exp)
-            else:
-                sym, exp = chunk, 1
-            if not sym.startswith("g"):
-                raise ValueError(f"bad generator symbol {sym!r}")
+            sym, caret, exp = (part.strip() for part in chunk.partition("^"))
+            if not (re.fullmatch(r"g\d+", sym)
+                    and (not caret or re.fullmatch(r"-?\d+", exp))):
+                raise ValueError(f"bad word chunk {chunk!r}: expected g<i> or g<i>^<k>")
+            exp = int(exp) if caret else 1
             gen = int(sym[1:])
-            if gen < 0 or gen >= len(self.gen_indices):
+            if gen >= len(self.gen_indices):
                 raise ValueError(f"unknown generator {sym!r}")
             gi = self.gen_indices[gen]
             if exp < 0:
                 gi = self.inv[gi]
                 exp = -exp
-            for _ in range(exp):
+            for _ in range(exp % self.order):
                 idx = self.mul[idx][gi]
         return idx
 
@@ -216,8 +215,7 @@ class MatrixGroup:
         for w in fixed:
             wbar = [a.conjugate() for a in w]
             rows.append(linalg.mat_vec([list(col) for col in zip(*H)], wbar))
-        normal = linalg.kernel_basis(rows, m, M) if rows else \
-            linalg.kernel_basis([], m, M)
+        normal = linalg.kernel_basis(rows, m, M)
         if len(fixed) + len(normal) != m:
             raise GeometryError(
                 f"fixed+normal dimensions {len(fixed)}+{len(normal)} != {m} "

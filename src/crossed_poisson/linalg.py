@@ -4,7 +4,8 @@ A sparse vector is a dict {key: Cyclotomic} holding nonzero entries only;
 keys are column indices for the matrices here and term keys for the cochain
 spaces of cohom.  add_into is the one sparse sum that keeps this rule, for
 Cyclotomic and HScalar values alike; the polynomial, field, normal-form and
-star-product sums of the other modules go through it too.
+star-product sums of the other modules go through it too, and Terms writes
+their +, -, negation and scaling once.
 
 Every elimination runs on one Span: each inserted vector is reduced against
 the stored ones and, if anything is left, stored under its smallest key, its
@@ -32,6 +33,60 @@ def add_into(vec, key, v):
         vec[key] = s
     elif key in vec:
         del vec[key]
+
+
+class Terms:
+    """A finite sum of terms: terms maps each key to a nonzero coefficient.
+
+    Subclasses list their context (a group, an algebra, a cyclic order) in
+    their own __slots__, validate outside input in their constructors, and
+    supply two hooks: _check_same, which raises if another sum cannot meet
+    this one, and _coeff, which reads a scalar as a coefficient.  Results
+    are built by _like, which copies the context and trusts that the dict
+    holds no zero value, as no dict that add_into built does.
+    """
+
+    __slots__ = ("terms",)
+
+    def _like(self, terms):
+        out = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name))
+        out.terms = terms
+        return out
+
+    def _check_same(self, other):
+        """Raise if other cannot be summed with self; the base accepts any."""
+
+    def _coeff(self, c):
+        raise NotImplementedError
+
+    def __add__(self, other):
+        self._check_same(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            add_into(out, key, c)
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def scale(self, c):
+        """Multiply every coefficient by c; products of nonzero values over a
+        field, or of nonzero hbar-polynomials over one, are nonzero."""
+        c = self._coeff(c)
+        if not c:
+            return self._like({})
+        return self._like({key: v * c for key, v in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
 
 def mat_mul(A, B):
@@ -104,13 +159,14 @@ class Span:
         return vec, combo
 
     def insert(self, vec, meta=None):
-        """Returns True if vec enlarged the span."""
+        """Store what is left of vec after reduction and return it; None if
+        vec lay in the span already."""
         residue, _ = self.reduce(vec)
         if not residue:
-            return False
+            return None
         lead = min(residue)
         self.pivots[lead] = (residue, meta, residue[lead].invert())
-        return True
+        return residue
 
     def coordinates(self, vec):
         """Express vec over the inserted metas; None if outside the span."""

@@ -20,6 +20,7 @@ are tested against each other.
 
 from .scalars import Cyclotomic, HScalar
 from . import linalg
+from .linalg import Terms
 from .polyvec import (
     BracketEngine,
     InvarianceError,
@@ -106,13 +107,8 @@ class DeformedAlgebra:
         e[i] = 1
         return NCElement(self, {(tuple(e), 0): HScalar.one(self.M)})
 
-    def monomial(self, expo, gi, coeff=None):
-        if coeff is None:
-            coeff = HScalar.one(self.M)
-        elif isinstance(coeff, Cyclotomic):
-            coeff = HScalar.const(coeff)
-        elif isinstance(coeff, int):
-            coeff = HScalar.const(Cyclotomic.rational(self.M, coeff))
+    def monomial(self, expo, gi, coeff=1):
+        coeff = HScalar.of(self.M, coeff)
         if not coeff.parts:
             return self.zero()
         return NCElement(self, {(tuple(expo), gi): coeff})
@@ -158,21 +154,21 @@ def _accumulate(dst, src, factor):
         linalg.add_into(dst, key, val if unit else val * factor)
 
 
-class NCElement:
+class NCElement(Terms):
     """Element of a deformed crossed product, stored in normal form.
 
     terms maps (exponent tuple, group label) to an HScalar coefficient;
     the monomial meaning is x_0^{a_0} ... x_{m-1}^{a_{m-1}} * (group element).
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra, terms):
         self.algebra = algebra
         self.terms = {k: v for k, v in terms.items() if v.parts}
 
-    def is_zero(self):
-        return not self.terms
+    def _coeff(self, c):
+        return HScalar.of(self.algebra.M, c)
 
     def __eq__(self, other):
         # content comparison; distinct algebra instances over the same group
@@ -180,24 +176,6 @@ class NCElement:
         return (isinstance(other, NCElement)
                 and self.algebra.group is other.algebra.group
                 and self.terms == other.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        _accumulate(out, other.terms, HScalar.one(self.algebra.M))
-        return NCElement(self.algebra, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return NCElement(self.algebra, {k: -v for k, v in self.terms.items()})
-
-    def scale(self, c):
-        if isinstance(c, Cyclotomic):
-            c = HScalar.const(c)
-        elif isinstance(c, int):
-            c = HScalar.const(Cyclotomic.rational(self.algebra.M, c))
-        return NCElement(self.algebra, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, NCElement):
@@ -211,7 +189,7 @@ class NCElement:
                         + tuple(("x", i) for i, p in enumerate(eb) for _ in range(p))
                         + (("g", gb),))
                 _accumulate(out, alg.reduce_letters(word), ca * cb)
-        return NCElement(alg, out)
+        return self._like(out)
 
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
@@ -405,21 +383,17 @@ def overlap_confluence(pair):
 # ---------------------------------------------------------------------------
 
 class SolveBResult:
-    __slots__ = ("feasible", "pair", "free_parameters", "certificates",
-                 "candidate_labels")
+    __slots__ = ("feasible", "pair", "free_parameters", "certificates")
 
-    def __init__(self, feasible, pair, free_parameters, certificates,
-                 candidate_labels):
+    def __init__(self, feasible, pair, free_parameters, certificates):
         self.feasible = feasible
         self.pair = pair
         self.free_parameters = free_parameters
         self.certificates = certificates
-        self.candidate_labels = candidate_labels
 
     def __repr__(self):
         if self.feasible:
-            return (f"SolveBResult(feasible, {self.free_parameters} free "
-                    f"parameters, labels={self.candidate_labels})")
+            return f"SolveBResult(feasible, {self.free_parameters} free parameters)"
         return f"SolveBResult(infeasible: {'; '.join(self.certificates)})"
 
 
@@ -478,13 +452,12 @@ def solve_b(pair):
     if bg1_bad:
         certs = [f"bg1 at {group.word_str(g)}: pi is not a twisted cocycle, "
                  "no constant correction can repair this" for g in bg1_bad]
-        return SolveBResult(False, None, 0, certs, [])
+        return SolveBResult(False, None, 0, certs)
     if not is_invariant(base.pi):
         raise InvarianceError("linear part pi is not group-invariant")
-    candidates = list(range(group.order))
 
     basis = []        # list of (label, PolyVectorField)
-    for gi in candidates:
+    for gi in range(group.order):
         for elt in _wedge_basis_at_label(group, gi):
             basis.append((gi, elt))
 
@@ -496,11 +469,9 @@ def solve_b(pair):
     two = Cyclotomic.rational(M, 2)
     d_fields = [koszul_differential(elt).scale(two) for _, elt in basis]
 
-    # collect equation coordinates: (kind, term-key); kind tags the source
     rows = []         # list of (coefficient row, rhs, description)
-    coords = {}
 
-    def coord_rows(kind, fields, rhs_field, describe):
+    def coord_rows(fields, rhs_field, describe):
         keys = set()
         for f in fields:
             keys.update(f.terms)
@@ -512,33 +483,26 @@ def solve_b(pair):
                    if rhs_field is not None else Cyclotomic.zero(M))
             rows.append((row, rhs, describe(key)))
 
-    coord_rows("bg2", d_fields, Q,
+    coord_rows(d_fields, Q,
                lambda key: f"bg2 at {group.word_str(key[0])}")
-    coord_rows("bg3", bg3_fields, None,
+    coord_rows(bg3_fields, None,
                lambda key: f"bg3 at {group.word_str(key[0])}")
     for gnum, g in enumerate(inv_gens):
-        coord_rows("inv", [fs[gnum] for fs in inv_fields], None,
+        coord_rows([fs[gnum] for fs in inv_fields], None,
                    lambda key, g=g: f"invariance under {group.word_str(g)} "
                                     f"at {group.word_str(key[0])}")
 
-    nunk = len(basis)
     A = [row for row, _, _ in rows]
     rhs = [r for _, r, _ in rows]
-    if nunk == 0:
-        bad = [d for (_, r, d) in rows if not r.is_zero()]
-        if bad:
-            return SolveBResult(False, None, 0, sorted(set(bad)), candidates)
-        return SolveBResult(True, base, 0, [], candidates)
-
     sol, bad_rows, rank = linalg.solve(A, rhs, M)
     if sol is None:
         certs = sorted({rows[i][2] for i in bad_rows})
-        return SolveBResult(False, None, 0, certs, candidates)
-    free = nunk - rank
+        return SolveBResult(False, None, 0, certs)
+    free = len(basis) - rank
     b = PolyVectorField.zero(group)
     for u, (_, elt) in zip(sol, basis):
         if not u.is_zero():
             b = b + elt.scale(u)
     solved = StructurePair(group, pi=base.pi, b=b, w_pi=base.w_pi,
                            w_b=base.w_b, reality_swap=base.reality_swap)
-    return SolveBResult(True, solved, free, [], candidates)
+    return SolveBResult(True, solved, free, [])

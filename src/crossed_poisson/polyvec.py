@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .linalg import add_into
+from .linalg import Terms, add_into
 from .scalars import Cyclotomic, Q
 
 
@@ -107,19 +107,14 @@ def _det(rows, M):
 # the field container
 # ---------------------------------------------------------------------------
 
-class PolyVectorField:
+class PolyVectorField(Terms):
     """Finite sum of labeled terms; terms maps (label, expo, wedge) to coeff."""
 
-    __slots__ = ("group", "terms")
+    __slots__ = ("group",)
 
     def __init__(self, group, terms=None):
         self.group = group
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    clean[key] = c
-        self.terms = clean
+        self.terms = {key: c for key, c in terms.items() if c} if terms else {}
 
     @classmethod
     def zero(cls, group):
@@ -130,23 +125,11 @@ class PolyVectorField:
         sign, w = wedge_sort(wedge)
         if w is None or not coeff:
             return cls.zero(group)
-        if not isinstance(coeff, Cyclotomic):
-            coeff = Cyclotomic.rational(group.M, coeff)
+        coeff = Cyclotomic.of(group.M, coeff)
         return cls(group, {(label, tuple(expo), w): coeff if sign == 1 else -coeff})
 
-    def __add__(self, other):
-        return PolyVectorField(self.group, p_add(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return PolyVectorField(self.group, {k: -v for k, v in self.terms.items()})
-
-    def scale(self, c):
-        if not c:
-            return PolyVectorField.zero(self.group)
-        return PolyVectorField(self.group, {k: v * c for k, v in self.terms.items()})
+    def _coeff(self, c):
+        return Cyclotomic.of(self.group.M, c)
 
     def __eq__(self, other):
         return (isinstance(other, PolyVectorField)
@@ -154,9 +137,6 @@ class PolyVectorField:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
 
     def labels(self):
         return sorted({gi for gi, _, _ in self.terms})
@@ -169,9 +149,7 @@ class PolyVectorField:
         return out
 
     def restrict_label(self, gi):
-        return PolyVectorField(
-            self.group,
-            {k: v for k, v in self.terms.items() if k[0] == gi})
+        return self._like({k: v for k, v in self.terms.items() if k[0] == gi})
 
     def sorted_items(self):
         return sorted(self.terms.items(),
@@ -256,9 +234,8 @@ def _transform_terms(items, sub, label_map):
 def act(g, X):
     """Transport X by the group element with index g."""
     group = X.group
-    terms = _transform_terms(X.terms.items(), group.substitution(g),
-                             lambda gi: group.conjugate_index(g, gi))
-    return PolyVectorField(group, terms)
+    return X._like(_transform_terms(X.terms.items(), group.substitution(g),
+                                    lambda gi: group.conjugate_index(g, gi)))
 
 
 def is_invariant(X):
@@ -299,7 +276,7 @@ def koszul_differential(X):
                 e2[j] += 1
                 v = c * a
                 add_into(out, (gi, tuple(e2), w2), v if sign > 0 else -v)
-    return PolyVectorField(group, out)
+    return X._like(out)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +285,6 @@ def koszul_differential(X):
 
 def _schouten_terms(A, B, label_fn):
     """Shared engine for the bracket; ``label_fn(ga, gb)`` assigns labels."""
-    group = A.group
     out = {}
     for (ga, ea, wa), ca in A.terms.items():
         for (gb, eb, wb), cb in B.terms.items():
@@ -340,7 +316,7 @@ def _schouten_terms(A, B, label_fn):
                 e2[i] -= 1
                 sgn = msign if pos % 2 == 0 else -msign
                 add_into(out, (label, tuple(e2), wm), cab * (-ea[i] * sgn))
-    return PolyVectorField(group, out)
+    return A._like(out)
 
 
 def schouten(A, B):
@@ -390,10 +366,6 @@ class StructurePair:
         self.w_pi = w_pi
         self.w_b = w_b
         self.reality_swap = tuple(reality_swap) if reality_swap is not None else None
-
-    @property
-    def conductor(self):
-        return self.group.M
 
     def total(self):
         return self.pi + self.b
@@ -483,16 +455,13 @@ class BracketEngine:
 
     def bracket(self, outer):
         """The trilinear bracket sum of the outer field against the inner one."""
-        group = self.group
         outer_slots = self.slots(outer)
-        if not outer_slots or not self.inner:
-            return PolyVectorField.zero(group)
         terms = {}
         for (i, j, k) in combinations(range(self.m), 3):
             for label, poly in self.trilinear(outer_slots, i, j, k).items():
                 for expo, cc in poly.items():
                     add_into(terms, (label, expo, (i, j, k)), cc)
-        return PolyVectorField(group, terms)
+        return outer._like(terms)
 
 
 def _pair(w):
@@ -544,7 +513,7 @@ def pr(X):
         keep = [(key, c) for key, c in ad.items()
                 if not any(key[1][s:]) and normal <= frozenset(key[2])]
         out.update(_transform_terms(keep, geo.from_adapted, lambda g: g))
-    return PolyVectorField(group, out)
+    return X._like(out)
 
 
 class PoissonReport:

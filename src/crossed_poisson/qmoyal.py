@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .linalg import add_into
+from .linalg import Terms, add_into
 from .scalars import Cyclotomic, HScalar, Q, q_factorial, q_integer, root_of_unity
 
 
@@ -56,17 +56,7 @@ def _half_i(n):
     return root_of_unity(M, M // 4) * Q(1, 2)
 
 
-def _as_hscalar(M, v):
-    if isinstance(v, HScalar):
-        if v.M != M:
-            raise ValueError(f"conductor mismatch: {v.M} vs {M}")
-        return v
-    if isinstance(v, Cyclotomic):
-        return HScalar.const(v if v.M == M else v.promote(M))
-    return HScalar.const(Cyclotomic.rational(M, v))
-
-
-class QPoly:
+class QPoly(Terms):
     """An element of the deformed crossed product of the plane by Z/n.
 
     terms maps (a, b, k) to an HScalar coefficient: a and b are the z and
@@ -74,7 +64,7 @@ class QPoly:
     canonical (no zero coefficients), so equality is structural.
     """
 
-    __slots__ = ("n", "M", "terms")
+    __slots__ = ("n", "M")
 
     def __init__(self, n, terms):
         if n < 1:
@@ -93,7 +83,7 @@ class QPoly:
 
     @classmethod
     def monomial(cls, n, a, b, k=0, coeff=1):
-        return cls(n, {(a, b, k): _as_hscalar(_conductor(n), coeff)})
+        return cls(n, {(a, b, k): HScalar.of(_conductor(n), coeff)})
 
     @classmethod
     def one(cls, n):
@@ -118,22 +108,8 @@ class QPoly:
         if other.n != self.n:
             raise OrderMismatchError(f"cyclic orders differ: {self.n} vs {other.n}")
 
-    def __add__(self, other):
-        self._check_same(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            add_into(out, key, c)
-        return QPoly(self.n, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return QPoly(self.n, {key: -c for key, c in self.terms.items()})
-
-    def scale(self, v):
-        s = _as_hscalar(self.M, v)
-        return QPoly(self.n, {key: c * s for key, c in self.terms.items()})
+    def _coeff(self, c):
+        return HScalar.of(self.M, c)
 
     def __mul__(self, other):
         """The undeformed crossed product: the group part twists the right factor."""
@@ -144,7 +120,7 @@ class QPoly:
             for (c, d, l), c2 in other.terms.items():
                 add_into(out, (a + c, b + d, (k + l) % self.n),
                          c1 * c2 * pow(q, (k * (c - d)) % self.n))
-        return QPoly(self.n, out)
+        return self._like(out)
 
     def at_h_zero(self):
         """Set the deformation parameter to zero."""
@@ -153,13 +129,7 @@ class QPoly:
     def group_component(self, k):
         """The partial sum of terms with group power k."""
         k = k % self.n
-        return QPoly(self.n, {key: c for key, c in self.terms.items() if key[2] == k})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
+        return self._like({key: c for key, c in self.terms.items() if key[2] == k})
 
     def __eq__(self, other):
         return isinstance(other, QPoly) and self.n == other.n and self.terms == other.terms
@@ -202,7 +172,7 @@ class QPoly:
 def sigma_z(F):
     """Substitute z -> q z, leaving zbar alone."""
     q = _unit_q(F.n)
-    return QPoly(F.n, {(a, b, k): c * pow(q, a % F.n) for (a, b, k), c in F.terms.items()})
+    return F._like({(a, b, k): c * pow(q, a % F.n) for (a, b, k), c in F.terms.items()})
 
 
 def d_z(F):
@@ -213,7 +183,7 @@ def d_z(F):
         if a == 0:
             continue
         add_into(out, (a - 1, b, k), c * q_integer(a, q))
-    return QPoly(F.n, out)
+    return F._like(out)
 
 
 def d_zbar(F):
@@ -224,7 +194,7 @@ def d_zbar(F):
         if b == 0:
             continue
         add_into(out, (a, b - 1, k), c * q_integer(b, qinv))
-    return QPoly(F.n, out)
+    return F._like(out)
 
 
 def _divide_exact(F, z_drop, zbar_drop):
@@ -235,7 +205,7 @@ def _divide_exact(F, z_drop, zbar_drop):
                 f"term z^{a} zbar^{b} is not divisible by z^{z_drop} zbar^{zbar_drop}"
             )
         out[(a - z_drop, b - zbar_drop, k)] = c
-    return QPoly(F.n, out)
+    return F._like(out)
 
 
 @lru_cache(maxsize=None)
@@ -284,7 +254,7 @@ def star(F, G):
             base = c1 * c2
             for key3, j, piece in _mono_star(n, *key1, *key2):
                 add_into(out, key3, base.shift(j) * piece)
-    return QPoly(n, out)
+    return F._like(out)
 
 
 def star_power(F, m):

@@ -9,6 +9,7 @@ cyclotomic polynomial.  No floats anywhere.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import lru_cache
 
 QZERO = Q(0)
 QONE = Q(1)
@@ -18,55 +19,46 @@ QONE = Q(1)
 # cyclotomic polynomials and per-conductor reduction tables
 # ---------------------------------------------------------------------------
 
-def _poly_divmod_exact(num, den):
-    """Quotient of two integer-coefficient polynomials known to divide exactly.
+def _poly_divmod(num, den):
+    """Quotient and remainder of two polynomials, as lists of Q lowest degree
+    first; den's last coefficient must be nonzero.
 
-    Polynomials are lists of Q, lowest degree first, den monic-leading.
+    The remainder keeps the length of num, with zeros from den's degree up.
     """
-    num = list(num)
+    r = list(num)
     dn = len(den) - 1
-    out = [QZERO] * (len(num) - dn)
-    for k in range(len(num) - 1, dn - 1, -1):
-        c = num[k] / den[dn]
-        out[k - dn] = c
+    q = [QZERO] * (len(r) - dn)
+    for k in range(len(r) - 1, dn - 1, -1):
+        c = r[k] / den[dn]
+        q[k - dn] = c
         if c:
-            for i in range(dn + 1):
-                num[k - dn + i] -= c * den[i]
-    if any(num[:dn]):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
-
-
-_PHI_CACHE: dict[int, list] = {}
+            for i, b in enumerate(den):
+                r[k - dn + i] -= c * b
+    return q, r
 
 
 def cyclotomic_polynomial(M):
     """Coefficients of the M-th cyclotomic polynomial, lowest degree first."""
-    if M < 1:
-        raise ValueError("conductor must be >= 1")
-    cached = _PHI_CACHE.get(M)
-    if cached is not None:
-        return list(cached)
-    poly = [QZERO] * (M + 1)
-    poly[0] = Q(-1)
-    poly[M] = QONE  # x^M - 1
-    for d in range(1, M):
-        if M % d == 0:
-            poly = _poly_divmod_exact(poly, cyclotomic_polynomial(d))
-    _PHI_CACHE[M] = list(poly)
-    return poly
+    return list(_ctx(M).phi)
 
 
 class _Context:
-    """Cached reduction data for one conductor."""
+    """Everything one conductor needs: Phi_M, the reduction rows, 0 and 1."""
 
-    __slots__ = ("M", "deg", "phi", "rows")
+    __slots__ = ("M", "deg", "phi", "rows", "zero", "one")
 
     def __init__(self, M):
+        if M < 1:
+            raise ValueError("conductor must be >= 1")
         self.M = M
-        self.phi = tuple(cyclotomic_polynomial(M))
-        self.deg = len(self.phi) - 1
-        d = self.deg
+        poly = [Q(-1)] + [QZERO] * (M - 1) + [QONE]  # x^M - 1
+        for k in range(1, M):
+            if M % k == 0:
+                poly, rem = _poly_divmod(poly, _ctx(k).phi)
+                if any(rem):
+                    raise ArithmeticError("non-exact polynomial division")
+        self.phi = tuple(poly)
+        self.deg = d = len(poly) - 1
         # rows[k - d] = coefficient vector of x^k mod Phi_M, for d <= k < max(2d-1, M)
         top = max(2 * d - 1, M)
         rows = []
@@ -81,17 +73,13 @@ class _Context:
             cur = nxt
             rows.append(tuple(cur))
         self.rows = tuple(rows)
+        self.zero = Cyclotomic._raw(M, (QZERO,) * d)
+        self.one = Cyclotomic._raw(M, (QONE,) + (QZERO,) * (d - 1))
 
 
-_CONTEXTS: dict[int, _Context] = {}
-
-
+@lru_cache(maxsize=None)
 def _ctx(M):
-    ctx = _CONTEXTS.get(M)
-    if ctx is None:
-        ctx = _Context(M)
-        _CONTEXTS[M] = ctx
-    return ctx
+    return _Context(M)
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +125,11 @@ class Cyclotomic:
 
     @classmethod
     def zero(cls, M):
-        z = _ZERO_CACHE.get(M)
-        if z is None:
-            z = cls._raw(M, (QZERO,) * _ctx(M).deg)
-            _ZERO_CACHE[M] = z
-        return z
+        return _ctx(M).zero
 
     @classmethod
     def one(cls, M):
-        o = _ONE_CACHE.get(M)
-        if o is None:
-            o = cls.rational(M, 1)
-            _ONE_CACHE[M] = o
-        return o
+        return _ctx(M).one
 
     @classmethod
     def rational(cls, M, a):
@@ -157,6 +137,14 @@ class Cyclotomic:
         vec = [QZERO] * d
         vec[0] = Q(a)
         return cls._raw(M, tuple(vec))
+
+    @classmethod
+    def of(cls, M, v):
+        """v in Q(zeta_M): a Cyclotomic is promoted, anything else is read
+        as a rational."""
+        if isinstance(v, Cyclotomic):
+            return v.promote(M)
+        return cls.rational(M, v)
 
     # -- coercion -----------------------------------------------------------
 
@@ -267,19 +255,9 @@ class Cyclotomic:
                 inv_lead = 1 / r1[0]
                 vec = [a * inv_lead for a in s1]
                 return Cyclotomic(self.M, vec)
-            # r0 = q*r1 + r
-            q = [QZERO] * (len(r0) - len(r1) + 1)
-            r = list(r0)
-            for k in range(len(r) - 1, len(r1) - 2, -1):
-                c = r[k] / r1[-1]
-                q[k - (len(r1) - 1)] = c
-                if c:
-                    for i, b in enumerate(r1):
-                        r[k - (len(r1) - 1) + i] -= c * b
+            q, r = _poly_divmod(r0, r1)
             while r and not r[-1]:
                 r.pop()
-            if not r:
-                r = [QZERO]
             # s = s0 - q*s1
             s = list(s0) + [QZERO] * max(0, len(q) + len(s1) - 1 - len(s0))
             for i, a in enumerate(q):
@@ -361,10 +339,6 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({self.M}: {self.to_literal()})"
-
-
-_ZERO_CACHE: dict[int, Cyclotomic] = {}
-_ONE_CACHE: dict[int, Cyclotomic] = {}
 
 
 def root_of_unity(M, k=1):
@@ -460,15 +434,19 @@ class HScalar:
         parts = [Cyclotomic.zero(M)] * k + [coeff]
         return cls(M, parts)
 
+    @classmethod
+    def of(cls, M, v):
+        """v as an hbar-polynomial over Q(zeta_M): an HScalar must have
+        conductor M, anything else goes through Cyclotomic.of."""
+        if isinstance(v, HScalar):
+            if v.M != M:
+                raise ValueError(f"conductor mismatch: {M} vs {v.M}")
+            return v
+        return cls.const(Cyclotomic.of(M, v))
+
     def _coerce(self, other):
-        if isinstance(other, HScalar):
-            if other.M != self.M:
-                raise ValueError(f"conductor mismatch: {self.M} vs {other.M}")
-            return other
-        if isinstance(other, Cyclotomic):
-            return HScalar.const(other if other.M == self.M else other.promote(self.M))
-        if isinstance(other, int) or type(other) is type(QONE):
-            return HScalar.const(Cyclotomic.rational(self.M, other))
+        if isinstance(other, (HScalar, Cyclotomic, int, Q)):
+            return HScalar.of(self.M, other)
         return None
 
     def __add__(self, other):
@@ -540,10 +518,10 @@ class HScalar:
         return bool(self.parts)
 
     def __eq__(self, other):
-        if isinstance(other, (HScalar, Cyclotomic, int)) or type(other) is type(QONE):
-            o = self._coerce(other)
-            return self.M == o.M and self.parts == o.parts
-        return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.parts == o.parts
 
     def __hash__(self):
         return hash((self.M, self.parts))

@@ -1,5 +1,6 @@
 import random
 
+from crossed_poisson import catalog
 from crossed_poisson.scalars import Cyclotomic, root_of_unity
 from crossed_poisson.groups import generate
 from crossed_poisson.polyvec import PolyVectorField
@@ -42,3 +43,11 @@ def random_pvf(group, rng, nterms=4, max_deg=2, wedge_deg=None):
             key = (gi, tuple(expo), wedge)
             terms[key] = terms.get(key, Cyclotomic.zero(M)) + c
     return PolyVectorField(group, terms)
+
+
+def sl2_order3_pair():
+    """sl2 with an order-3 automorphism of its adjoint action that is no
+    monomial matrix, so group averaging mixes monomials."""
+    G = generate([[[0, -1, 0], [-1, 1, 1], [0, -2, -1]]], 1, max_order=3)
+    return catalog.lie_poisson_family(
+        G, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}}, 1).structure

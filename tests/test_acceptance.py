@@ -222,7 +222,7 @@ def test_criterion_4_missing_constant_part_detected_and_solved():
     assert result.feasible
     assert result.free_parameters == 1
     assert not result.pair.b.is_zero()
-    assert set(result.pair.b.labels()) <= set(result.candidate_labels)
+    assert set(result.pair.b.labels()) <= set(range(G.order))
     assert check_bg(result.pair).passed
     assert overlap_confluence(result.pair).ok
     elapsed = time.monotonic() - t0

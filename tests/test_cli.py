@@ -1,9 +1,11 @@
 import io
 import json
 import random
+import re
 
 import pytest
 
+from conftest import sl2_order3_pair
 from crossed_poisson import catalog, cli, pbw, qmoyal
 from crossed_poisson.scalars import Cyclotomic, Q, root_of_unity
 from crossed_poisson.cli import (
@@ -144,6 +146,9 @@ def test_structure_file_validation_messages():
     reject(lambda d: d.update(generators=[]), "at least one matrix")
     reject(lambda d: d["generators"].append([[1]]), "not a 2x2 matrix")
     reject(lambda d: d["structure"][0].update(label="g9"), "unknown generator")
+    for label in ("g0^x", "g0^1^2", "g"):
+        reject(lambda d: d["structure"][0].update(label=label),
+               f"bad word chunk '{re.escape(label)}'")
     reject(lambda d: d["structure"][0].update(wedge=[0, 0]), "distinct")
     reject(lambda d: d["structure"][0].update(wedge=[0, 5]), "lie in 0..1")
     reject(lambda d: d["structure"][0].update(poly="x0^2"), "degree 2")
@@ -278,6 +283,20 @@ def test_cohomology_subcommand(invoke):
     code, _, err = invoke(
         ["cohomology", "--degree", "3", "--polydeg", "2"], stdin=emitted)
     assert code == 2
+
+
+def test_cohomology_of_a_non_monomial_group_action(invoke):
+    emitted = emit_structure_file(sl2_order3_pair())
+    payloads = []
+    for degree in ("0", "1", "2"):
+        code, out, err = invoke(["cohomology", "--format", "json", "--degree",
+                                 degree, "--polydeg", "2"], stdin=emitted)
+        assert code == 0, err
+        payloads.append(json.loads(out))
+    assert [p["dimension"] for p in payloads] == [2, 0, 6]
+    # H^0 holds the constants and the invariant Casimir
+    assert [{t["poly"] for t in terms} for terms in payloads[0]["representatives"]] \
+        == [{"1"}, {"x2^2", "x0*x1"}]
 
 
 def test_cohomology_json_payload(invoke):

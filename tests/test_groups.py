@@ -87,6 +87,9 @@ def test_words_round_trip():
         assert G.element_from_word(G.word_str(i)) == i
     assert G.element_from_word("e") == 0
     assert G.element_from_word("g0^-1") == G.inv[G.gen_indices[0]]
+    # powers are taken modulo the group order, so a huge exponent is cheap
+    assert G.element_from_word("g0^1000000000001") == G.element_from_word(
+        f"g0^{1000000000001 % G.order}")
 
 
 def test_averaged_form_is_identity_for_unitary_groups():

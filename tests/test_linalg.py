@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from crossed_poisson.scalars import Cyclotomic, HScalar, root_of_unity
-from crossed_poisson import linalg
+from conftest import random_pvf, z2_group
+from crossed_poisson.scalars import Cyclotomic, HScalar, Q, root_of_unity
+from crossed_poisson import catalog, linalg, pbw
+from crossed_poisson.qmoyal import OrderMismatchError, QPoly
 from oracles import identity_matrix, mat_eq
 
 
@@ -173,3 +175,59 @@ def test_span_rows_hold_no_zero():
     rows = span.rows()
     assert rows == [{0: one, 1: i}, {2: one, 3: i}]
     assert all(v for row in rows for v in row.values())
+
+
+# -- the term container and the scalar conversions -----------------------------
+
+def _plain_sum(a, b, sign):
+    out = {k: a.get(k, 0) + sign * b.get(k, 0) for k in set(a) | set(b)}
+    return {k: v for k, v in out.items() if v}
+
+
+def test_terms_containers_and_scalar_conversions():
+    rng = random.Random(7)
+    G = z2_group()
+    alg = pbw.DeformedAlgebra(catalog.z2_constant(1).structure)
+    h = HScalar.h_power(alg.M, 1)
+
+    def nc(n):
+        out = alg.zero()
+        for _ in range(n):
+            out = out + alg.monomial((rng.randint(0, 2), rng.randint(0, 2)),
+                                     rng.randrange(2), h + rng.randint(-2, 2))
+        return out
+
+    h12 = HScalar.h_power(12, 1)
+
+    def qp(n):
+        return QPoly(3, {(rng.randint(0, 2), rng.randint(0, 2), rng.randrange(3)):
+                         h12 + rng.randint(-2, 2) for _ in range(n)})
+
+    makers = [lambda n: random_pvf(G, rng, nterms=n), nc, qp]
+    for make in makers:
+        for _ in range(5):
+            x, w = make(6), make(2)
+            y = w - x        # x + y cancels every term of x that w lacks
+            assert (x + y).terms == _plain_sum(x.terms, y.terms, 1)
+            assert (x - y).terms == _plain_sum(x.terms, y.terms, -1)
+            assert x + y == w
+            assert (x - x).terms == {} and not (x - x)
+            assert x.scale(0).terms == {} and x.scale(0).is_zero()
+            assert (-x).terms == _plain_sum({}, x.terms, -1)
+            assert x.scale(2).terms == _plain_sum(x.terms, x.terms, 1)
+    with pytest.raises(OrderMismatchError):
+        QPoly.one(2) + QPoly.one(3)
+
+    z4, z12 = root_of_unity(4), root_of_unity(12)
+    for value, expect in ((3, Cyclotomic.rational(12, 3)),
+                          (Q(1, 2), Cyclotomic.rational(12, Q(1, 2))),
+                          (z12, z12), (z4, root_of_unity(12, 3))):
+        assert Cyclotomic.of(12, value) == expect
+        assert HScalar.of(12, value) == HScalar.const(expect)
+    assert HScalar.of(12, h12) is h12
+    with pytest.raises(ValueError, match="cannot embed"):
+        Cyclotomic.of(4, z12)
+    with pytest.raises(ValueError, match="cannot embed"):
+        HScalar.of(4, z12)
+    with pytest.raises(ValueError, match="conductor mismatch"):
+        HScalar.of(12, HScalar.one(4))
