@@ -6,6 +6,7 @@ invariant, linear part admissible), and returns a CatalogEntry whose pair is
 guaranteed invariant.
 """
 
+from functools import lru_cache
 from math import lcm
 
 from . import groups, linalg
@@ -302,6 +303,22 @@ def _swap_matrix(M, step, k):
     return [[z, ai, z, z], [a, z, z, z], [z, z, z, a], [z, z, ai, z]]
 
 
+@lru_cache(maxsize=32)
+def _gamma_group(n, M):
+    """The group of gamma_n_family over Q(zeta_M) and the labels of its
+    rotations and swaps by k.  It depends on (n, M) alone, so every entry of
+    one family shares one group and its memoized substitutions."""
+    order = 2 * n + 1
+    step = M // order
+    G = groups.generate([_rotation_matrix(M, step, 1), _swap_matrix(M, step, 0)],
+                        M, max_order=4 * n + 2)
+    alpha = {k: G.index[tuple(tuple(r) for r in _rotation_matrix(M, step, k))]
+             for k in range(order)}
+    beta = {k: G.index[tuple(tuple(r) for r in _swap_matrix(M, step, k))]
+            for k in range(order)}
+    return G, alpha, beta
+
+
 def gamma_n_family(n, c0, a=None):
     """Order 4n+2 group on coordinates (z1, z2, zb1, zb2) with the linear
     structure supported at the swap-type labels and its constant correction
@@ -319,16 +336,11 @@ def gamma_n_family(n, c0, a=None):
     M = lcm(4, order, _param_conductor(c0),
             _param_conductor(a) if a is not None else 1)
     step = M // order
-    G = groups.generate([_rotation_matrix(M, step, 1), _swap_matrix(M, step, 0)],
-                        M, max_order=4 * n + 2)
+    G, alpha, beta = _gamma_group(n, M)
 
     def rho(k):
         return root_of_unity(M, (step * k) % M)
 
-    alpha = {k: G.index[tuple(tuple(r) for r in _rotation_matrix(M, step, k))]
-             for k in range(order)}
-    beta = {k: G.index[tuple(tuple(r) for r in _swap_matrix(M, step, k))]
-            for k in range(order)}
     c0 = Cyclotomic.of(M, c0)
     c0b = c0.conjugate()
 

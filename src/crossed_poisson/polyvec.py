@@ -73,7 +73,9 @@ def wedge_sort(seq):
     for a, b in zip(idx, idx[1:]):
         if a == b:
             return 0, None
-    return sign, tuple(idx)
+    w = tuple(idx)
+    # a sorted tuple is returned as is, so terms built from one wedge share it
+    return sign, (seq if w == seq else w)
 
 
 def wedge_insert(k, w):

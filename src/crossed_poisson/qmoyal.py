@@ -220,12 +220,14 @@ def _falling(n, top, count, bar=False):
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _mono_star(n, a, b, k, c, d, l):
     """Star product of two monomials, split by power of the parameter.
 
     Returns a tuple of ((a2, b2, k2), j, coeff) entries meaning
-    coeff * hbar^j * z^a2 zbar^b2 g^k2.
+    coeff * hbar^j * z^a2 zbar^b2 g^k2.  The memo is bounded: its key
+    carries b and l, which only shift the output monomial, so most keys
+    are distinct and an unbounded memo grows with every product taken.
     """
     q = _unit_q(n)
     twist = pow(q, (k * (c - d)) % n)

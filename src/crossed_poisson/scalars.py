@@ -2,14 +2,16 @@
 
 Everything downstream (group matrices, structure coefficients, linear solves,
 star products) runs over Q(zeta_M) for one conductor M fixed per problem, with
-values stored as rational coefficient vectors reduced modulo the M-th
-cyclotomic polynomial.  No floats anywhere.
+values stored as an integer numerator vector over one positive common
+denominator, reduced modulo the M-th cyclotomic polynomial.  No floats
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import lru_cache
+from math import gcd, lcm
 
 QZERO = Q(0)
 QONE = Q(1)
@@ -43,9 +45,13 @@ def cyclotomic_polynomial(M):
 
 
 class _Context:
-    """Everything one conductor needs: Phi_M, the reduction rows, 0 and 1."""
+    """Everything one conductor needs: Phi_M, the reduction rows, 0 and 1.
 
-    __slots__ = ("M", "deg", "phi", "rows", "zero", "one")
+    Phi_M is monic with integer coefficients, so phi and the reduction rows
+    hold ints.
+    """
+
+    __slots__ = ("M", "deg", "phi", "rows", "zeros", "zero", "one")
 
     def __init__(self, M):
         if M < 1:
@@ -57,29 +63,44 @@ class _Context:
                 poly, rem = _poly_divmod(poly, _ctx(k).phi)
                 if any(rem):
                     raise ArithmeticError("non-exact polynomial division")
-        self.phi = tuple(poly)
+        self.phi = tuple(int(c) for c in poly)
         self.deg = d = len(poly) - 1
-        # rows[k - d] = coefficient vector of x^k mod Phi_M, for d <= k < max(2d-1, M)
+        # rows[k - d] lists the nonzero (i, r) of x^k mod Phi_M,
+        # for d <= k < max(2d-1, M)
         top = max(2 * d - 1, M)
-        rows = []
         cur = [-c for c in self.phi[:d]]  # x^d mod Phi
-        rows.append(tuple(cur))
-        for _ in range(d + 1, top):
-            nxt = [QZERO] + cur[: d - 1]
-            lead = cur[d - 1]
+        first = list(cur)
+        rows = []
+        for _ in range(d, top):
+            rows.append(tuple((i, r) for i, r in enumerate(cur) if r))
+            lead = cur[-1]
+            cur = [0] + cur[:-1]
             if lead:
                 for i in range(d):
-                    nxt[i] += lead * rows[0][i]
-            cur = nxt
-            rows.append(tuple(cur))
+                    cur[i] += lead * first[i]
         self.rows = tuple(rows)
-        self.zero = Cyclotomic._raw(M, (QZERO,) * d)
-        self.one = Cyclotomic._raw(M, (QONE,) + (QZERO,) * (d - 1))
+        self.zeros = (0,) * d
+        self.zero = Cyclotomic._raw(M, self.zeros, 1)
+        self.one = Cyclotomic._raw(M, (1,) + self.zeros[1:], 1)
 
 
 @lru_cache(maxsize=None)
 def _ctx(M):
     return _Context(M)
+
+
+def _reduce(ctx, acc):
+    """acc (ints, length >= deg) reduced mod Phi_M to a length-deg list;
+    acc is consumed."""
+    d = ctx.deg
+    rows = ctx.rows
+    for k in range(len(acc) - 1, d - 1, -1):
+        a = acc[k]
+        if a:
+            for i, r in rows[k - d]:
+                acc[i] += a * r
+    del acc[d:]
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -89,39 +110,48 @@ def _ctx(M):
 class Cyclotomic:
     """An element of Q(zeta_M), stored reduced mod the cyclotomic polynomial.
 
-    The internal vector has length phi(M) (the field degree); equal values
-    always have equal representations, so == and hash are structural.
+    n is a tuple of phi(M) ints (the field degree) and den an int > 0 with
+    gcd(*n, den) == 1; zero is ((0,)*d, 1).  Equal values therefore have
+    equal representations, so == and hash are structural.
     """
 
-    __slots__ = ("M", "c")
+    __slots__ = ("M", "n", "den")
 
     def __init__(self, M, coeffs):
-        ctx = _ctx(M)
-        d = ctx.deg
-        vec = [QZERO] * d
-        for k, a in enumerate(coeffs):
-            if not a:
-                continue
-            a = Q(a)
-            k %= M
-            if k < d:
-                vec[k] += a
-            else:
-                row = ctx.rows[k - d]
-                for i in range(d):
-                    if row[i]:
-                        vec[i] += a * row[i]
-        self.M = M
-        self.c = tuple(vec)
+        vec = [a if type(a) is int else Q(a) for a in coeffs]
+        den = lcm(*(a.denominator for a in vec))
+        acc = [0] * M
+        for k, a in enumerate(vec):
+            if a:
+                acc[k % M] += a.numerator * (den // a.denominator)
+        value = Cyclotomic._reduced(M, acc, den)
+        self.M, self.n, self.den = M, value.n, value.den
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _raw(cls, M, vec):
+    def _raw(cls, M, n, den):
         self = object.__new__(cls)
         self.M = M
-        self.c = vec
+        self.n = n
+        self.den = den
         return self
+
+    @classmethod
+    def _make(cls, M, n, den):
+        """From an int tuple over den > 0, dividing out the common gcd."""
+        if den != 1:
+            g = gcd(den, *n)
+            if g != 1:
+                n = tuple(a // g for a in n)
+                den //= g
+        return cls._raw(M, n, den)
+
+    @classmethod
+    def _reduced(cls, M, acc, den):
+        """From a list of ints indexed by powers of zeta_M (below
+        max(2 phi(M) - 1, M)) over den > 0; acc is consumed."""
+        return cls._make(M, tuple(_reduce(_ctx(M), acc)), den)
 
     @classmethod
     def zero(cls, M):
@@ -133,10 +163,10 @@ class Cyclotomic:
 
     @classmethod
     def rational(cls, M, a):
-        d = _ctx(M).deg
-        vec = [QZERO] * d
-        vec[0] = Q(a)
-        return cls._raw(M, tuple(vec))
+        if type(a) is not int:
+            a = Q(a)
+            return cls._raw(M, (a.numerator,) + _ctx(M).zeros[1:], a.denominator)
+        return cls._raw(M, (a,) + _ctx(M).zeros[1:], 1)
 
     @classmethod
     def of(cls, M, v):
@@ -154,14 +184,20 @@ class Cyclotomic:
                 raise ValueError(
                     f"conductor mismatch: {self.M} vs {other.M}; promote first")
             return other
-        if isinstance(other, int) or type(other) is type(QONE):
+        if isinstance(other, int) or type(other) is Q:
             return Cyclotomic.rational(self.M, other)
         return None
 
     @property
+    def c(self):
+        """The reduced vector as Fractions: c[k] is the coefficient of zeta_M^k."""
+        return tuple(Q(a, self.den) for a in self.n)
+
+    @property
     def coeffs(self):
         """Length-M rational vector: coeffs[k] is the coefficient of zeta_M^k."""
-        return tuple(self.c) + (QZERO,) * (self.M - len(self.c))
+        c = self.c
+        return c + (QZERO,) * (self.M - len(c))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -169,7 +205,9 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic._raw(self.M, tuple(a + b for a, b in zip(self.c, o.c)))
+        if not any(self.n):
+            return o
+        return self._sum(o.n, o.den)
 
     __radd__ = __add__
 
@@ -177,7 +215,9 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic._raw(self.M, tuple(a - b for a, b in zip(self.c, o.c)))
+        if not any(self.n):
+            return -o
+        return self._sum(tuple(-b for b in o.n), o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -185,31 +225,49 @@ class Cyclotomic:
             return NotImplemented
         return o - self
 
+    def _sum(self, m, e):
+        """self + m/e for an int tuple m over e > 0."""
+        if not any(m):
+            return self
+        den = self.den
+        if den == e:
+            return Cyclotomic._make(self.M, tuple(a + b for a, b in zip(self.n, m)), den)
+        g = gcd(den, e)
+        s, t = e // g, den // g
+        return Cyclotomic._make(
+            self.M, tuple(a * s + b * t for a, b in zip(self.n, m)), den * s)
+
     def __neg__(self):
-        return Cyclotomic._raw(self.M, tuple(-a for a in self.c))
+        return Cyclotomic._raw(self.M, tuple(-a for a in self.n), self.den)
+
+    def _scale(self, p, q):
+        """self * p/q for ints p and q > 0."""
+        if not p:
+            return _ctx(self.M).zero
+        if p == 1 and q == 1:
+            return self
+        return Cyclotomic._make(self.M, tuple(a * p for a in self.n), self.den * q)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return self._scale(other, 1)
+        if type(other) is Q:
+            return self._scale(other.numerator, other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx = _ctx(self.M)
-        d = ctx.deg
-        acc = [QZERO] * (2 * d - 1)
-        oc = o.c
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(oc):
-                    if b:
-                        acc[i + j] += a * b
-        vec = acc[:d]
-        for k in range(d, 2 * d - 1):
-            a = acc[k]
-            if a:
-                row = ctx.rows[k - d]
-                for i in range(d):
-                    if row[i]:
-                        vec[i] += a * row[i]
-        return Cyclotomic._raw(self.M, tuple(vec))
+        a, b = self.n, o.n
+        if not any(a[1:]):
+            return o._scale(a[0], self.den)
+        if not any(b[1:]):
+            return self._scale(b[0], o.den)
+        acc = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    if y:
+                        acc[j] += x * y
+        return Cyclotomic._reduced(self.M, acc, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -242,9 +300,13 @@ class Cyclotomic:
         """Multiplicative inverse via the extended Euclidean algorithm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
+        a = self.n
+        if not any(a[1:]):
+            sign = -1 if a[0] < 0 else 1
+            return Cyclotomic._raw(self.M, (sign * self.den,) + a[1:], sign * a[0])
         ctx = _ctx(self.M)
         # gcd(poly(self), Phi_M) = 1; track the Bezout coefficient of self.
-        r0 = list(ctx.phi)
+        r0 = list(map(Q, ctx.phi))
         r1 = list(self.c)
         s0 = [QZERO]
         s1 = [QONE]
@@ -269,11 +331,10 @@ class Cyclotomic:
     def conjugate(self):
         """The automorphism zeta |-> zeta^-1 (complex conjugation on values)."""
         M = self.M
-        vec = [QZERO] * M
-        for k, a in enumerate(self.c):
-            if a:
-                vec[(M - k) % M] += a
-        return Cyclotomic(M, vec)
+        acc = [0] * M
+        for k, a in enumerate(self.n):
+            acc[-k] = a
+        return Cyclotomic._reduced(M, acc, self.den)
 
     def promote(self, M2):
         """Embed into Q(zeta_M2) for M | M2 via zeta_M = zeta_M2^(M2/M)."""
@@ -281,44 +342,42 @@ class Cyclotomic:
             return self
         if M2 % self.M != 0:
             raise ValueError(f"cannot embed conductor {self.M} into {M2}")
-        step = M2 // self.M
-        vec = [QZERO] * M2
-        for k, a in enumerate(self.c):
-            if a:
-                vec[k * step] += a
-        return Cyclotomic(M2, vec)
+        acc = [0] * M2
+        acc[::M2 // self.M] = self.n + (0,) * (self.M - len(self.n))
+        return Cyclotomic._reduced(M2, acc, self.den)
 
     # -- predicates & output --------------------------------------------------
 
     def is_zero(self):
-        return not any(self.c)
+        return not any(self.n)
 
     def __bool__(self):
-        return any(self.c)
+        return any(self.n)
 
     def is_rational(self):
-        return not any(self.c[1:])
+        return not any(self.n[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError(f"not rational: {self}")
-        return self.c[0]
+        return Q(self.n[0], self.den)
 
     def __eq__(self, other):
         if isinstance(other, Cyclotomic):
-            return self.M == other.M and self.c == other.c
-        if isinstance(other, int) or type(other) is type(QONE):
-            return self.is_rational() and self.c[0] == other
+            return self.M == other.M and self.n == other.n and self.den == other.den
+        if isinstance(other, int) or type(other) is Q:
+            return self.is_rational() and self.n[0] == other * self.den
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.M, self.c))
+        return hash((self.M, self.n, self.den))
 
     def to_literal(self, symbol="z"):
         """Render as a literal like '1/2*z^3 - 2' (descending powers)."""
+        c = self.c
         parts = []
-        for k in range(len(self.c) - 1, -1, -1):
-            a = self.c[k]
+        for k in range(len(c) - 1, -1, -1):
+            a = c[k]
             if not a:
                 continue
             sign = "-" if a < 0 else "+"
@@ -343,9 +402,9 @@ class Cyclotomic:
 
 def root_of_unity(M, k=1):
     """zeta_M^k as an element of Q(zeta_M)."""
-    vec = [QZERO] * M
-    vec[k % M] = QONE
-    return Cyclotomic(M, vec)
+    acc = [0] * M
+    acc[k % M] = 1
+    return Cyclotomic._reduced(M, acc, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +577,8 @@ class HScalar:
         return bool(self.parts)
 
     def __eq__(self, other):
+        if isinstance(other, (HScalar, Cyclotomic)) and other.M != self.M:
+            return False
         o = self._coerce(other)
         if o is None:
             return NotImplemented

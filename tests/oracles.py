@@ -2,10 +2,14 @@
 
 These are independent cross-checks and small conveniences: closed forms of
 the q-difference calculus, the antilinear reality involution, class counts
-by codimension, the degree-0 cohomology comparison and dense matrix helpers.
+by codimension, the degree-0 cohomology comparison, dense matrix helpers and
+a Fraction-only model of cyclotomic arithmetic.
 The engine does not use them, so they live beside the tests instead of in
 the package.
 """
+
+from fractions import Fraction as Q
+from functools import lru_cache
 
 from crossed_poisson.cohom import h_truncated
 from crossed_poisson.groups import GeometryError
@@ -20,6 +24,108 @@ from crossed_poisson.qmoyal import (
     sigma_z,
 )
 from crossed_poisson.scalars import Cyclotomic, q_binomial
+
+
+# -- cyclotomic arithmetic over Fractions -----------------------------------------
+#
+# Values are tuples of phi(M) Fractions, the coefficients of 1, zeta, zeta^2, ...
+# reduced modulo the M-th cyclotomic polynomial.  Inverses come from a linear
+# solve, not from the extended Euclidean algorithm the engine uses.
+
+def _poly_rem(num, den):
+    """Quotient and remainder of polynomial long division over Fractions."""
+    r = [Q(a) for a in num]
+    dn = len(den) - 1
+    q = [Q(0)] * max(len(r) - dn, 1)
+    for k in range(len(r) - 1, dn - 1, -1):
+        c = r[k] / den[dn]
+        q[k - dn] = c
+        for i, b in enumerate(den):
+            r[k - dn + i] -= c * b
+    return q, r[:dn]
+
+
+@lru_cache(maxsize=None)
+def ref_phi(M):
+    """Phi_M: x^M - 1 divided by Phi_k for each proper divisor k of M."""
+    poly = [Q(-1)] + [Q(0)] * (M - 1) + [Q(1)]
+    for k in range(1, M):
+        if M % k == 0:
+            poly, rem = _poly_rem(poly, ref_phi(k))
+            assert not any(rem)
+    return tuple(poly)
+
+
+def ref_reduce(M, coeffs):
+    """coeffs[k] is the coefficient of zeta_M^k, for any k >= 0."""
+    folded = [Q(0)] * M
+    for k, a in enumerate(coeffs):
+        folded[k % M] += Q(a)
+    return tuple(_poly_rem(folded, ref_phi(M))[1])
+
+
+def ref_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ref_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def ref_mul(M, a, b):
+    acc = [Q(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            acc[i + j] += x * y
+    return ref_reduce(M, acc)
+
+
+def ref_inv(M, a):
+    """Solve a * y = 1 for y by Gauss-Jordan on the matrix of a * zeta^j."""
+    d = len(a)
+    cols = [ref_mul(M, a, tuple(Q(int(i == j)) for i in range(d))) for j in range(d)]
+    rows = [[cols[j][i] for j in range(d)] + [Q(int(i == 0))] for i in range(d)]
+    for c in range(d):
+        p = next(r for r in range(c, d) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        piv = rows[c][c]
+        rows[c] = [v / piv for v in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return tuple(row[d] for row in rows)
+
+
+def ref_conjugate(M, a):
+    vec = [Q(0)] * M
+    for k, x in enumerate(a):
+        vec[-k % M] += x
+    return ref_reduce(M, vec)
+
+
+def ref_promote(M, a, M2):
+    vec = [Q(0)] * M2
+    for k, x in enumerate(a):
+        vec[k * (M2 // M)] += x
+    return ref_reduce(M2, vec)
+
+
+def ref_literal(a, symbol="z"):
+    """The literal of a reduced vector, highest power first: '1/2*z^3 - 2'."""
+    out = ""
+    for k in range(len(a) - 1, -1, -1):
+        x = a[k]
+        if not x:
+            continue
+        mag = abs(x)
+        var = "" if k == 0 else (symbol if k == 1 else f"{symbol}^{k}")
+        body = str(mag) if not var else (var if mag == 1 else f"{mag}*{var}")
+        if not out:
+            out = ("-" if x < 0 else "") + body
+        else:
+            out += (" - " if x < 0 else " + ") + body
+    return out or "0"
 
 
 # -- dense matrices ------------------------------------------------------------

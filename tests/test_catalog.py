@@ -177,6 +177,14 @@ def test_gamma_1_passes_both_flatness_routes():
     assert pbw.overlap_confluence(ent.structure).ok
 
 
+def test_gamma_entries_share_the_group_of_their_conductor():
+    one, two = catalog.gamma_n_family(1, 1), catalog.gamma_n_family(1, 2, a=1)
+    assert one.group is two.group
+    assert one.structure.pi != two.structure.pi
+    wider = catalog.gamma_n_family(1, generic_c0(20))
+    assert wider.group.M != one.group.M and wider.group is not one.group
+
+
 def test_gamma_2_passes_check_bg():
     ent = catalog.gamma_n_family(2, generic_c0(20))
     assert ent.group.order == 10

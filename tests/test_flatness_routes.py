@@ -15,16 +15,19 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from crossed_poisson import catalog, pbw
 from crossed_poisson.groups import GroupOrderError, generate
-from crossed_poisson.polyvec import PolyVectorField, StructurePair, average
+from crossed_poisson.polyvec import PolyVectorField, StructurePair, act, average, pr
 from crossed_poisson.scalars import Cyclotomic, root_of_unity
 
 MAX_ORDER = 12
 
 
 @st.composite
-def _generator(draw, dim, M):
-    """A signed permutation matrix or a diagonal of M-th roots of unity."""
-    if draw(st.booleans()):
+def _generator(draw, dim, M, permutation=None):
+    """A signed permutation matrix or a diagonal of M-th roots of unity;
+    permutation=None draws which."""
+    if permutation is None:
+        permutation = draw(st.booleans())
+    if permutation:
         perm = draw(st.permutations(range(dim)))
         signs = draw(st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim))
         return [[signs[i] if j == perm[i] else 0 for j in range(dim)]
@@ -53,14 +56,43 @@ def _invariant_field(draw, group, degree, max_terms=4):
 
 
 @st.composite
-def invariant_pairs(draw):
+def small_groups(draw, max_order=MAX_ORDER, mixed=False):
+    """A group of at most max_order elements made by one or two generators;
+    mixed=True takes one signed permutation and one diagonal, which seldom
+    commute."""
     dim = draw(st.integers(2, 4))
     M = draw(st.sampled_from((1, 2, 3, 4, 6)))
-    gens = draw(st.lists(_generator(dim, M), min_size=1, max_size=2))
+    if mixed:
+        gens = [draw(_generator(dim, M, permutation=p)) for p in (True, False)]
+    else:
+        gens = draw(st.lists(_generator(dim, M), min_size=1, max_size=2))
     try:
-        group = generate(gens, M, max_order=MAX_ORDER)
+        return generate(gens, M, max_order=max_order)
     except GroupOrderError:
         assume(False)
+
+
+@st.composite
+def labelled_fields(draw, group, max_terms=5):
+    """A few random terms at random labels, of any wedge degree and of
+    polynomial degree at most 2; not group-invariant in general."""
+    m, M = group.dim, group.M
+    field = PolyVectorField.zero(group)
+    for _ in range(draw(st.integers(1, max_terms))):
+        expo = [0] * m
+        for _ in range(draw(st.integers(0, 2))):
+            expo[draw(st.integers(0, m - 1))] += 1
+        wedge = draw(st.lists(st.integers(0, m - 1), max_size=m, unique=True))
+        coeff = (Cyclotomic.rational(M, draw(st.integers(-2, 2)))
+                 * root_of_unity(M, draw(st.integers(0, M - 1))))
+        field = field + PolyVectorField.single(
+            group, draw(st.integers(0, group.order - 1)), expo, wedge, coeff)
+    return field
+
+
+@st.composite
+def invariant_pairs(draw):
+    group = draw(small_groups())
     w_pi, w_b = draw(st.sampled_from(((1, 2), (1, 1), (1, 3), (2, 2))))
     return StructurePair(group, pi=draw(_invariant_field(group, 1)),
                          b=draw(_invariant_field(group, 0)), w_pi=w_pi, w_b=w_b)
@@ -93,3 +125,15 @@ def test_flatness_routes_agree_on_generated_pairs(pair):
         if result.feasible:
             assert pbw.check_bg(result.pair).passed
             assert pbw.overlap_confluence(result.pair).ok
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_projection_commutes_with_the_group_action(data):
+    # pr(act(g, X)) == act(g, pr(X)): the group moves the fixed space and the
+    # normal space of each label onto those of the conjugated label
+    group = data.draw(small_groups(max_order=24, mixed=data.draw(st.booleans())))
+    X = data.draw(labelled_fields(group))
+    for g in range(group.order):
+        assert pr(act(g, X)) == act(g, pr(X))

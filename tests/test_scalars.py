@@ -1,6 +1,18 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (
+    ref_add,
+    ref_conjugate,
+    ref_inv,
+    ref_literal,
+    ref_mul,
+    ref_promote,
+    ref_reduce,
+    ref_sub,
+)
 from crossed_poisson.scalars import (
     Cyclotomic,
     HScalar,
@@ -115,6 +127,61 @@ def test_conductor_mismatch_raises():
         root_of_unity(3) + root_of_unity(4)
 
 
+# -- integer representation against the Fraction reference -------------------
+
+CONDUCTORS = (1, 2, 3, 4, 5, 8, 12, 20)
+_FRACTIONS = st.builds(Q, st.integers(-6, 6), st.integers(1, 6))
+
+
+def _coeff_lists(M):
+    """Unreduced coefficient lists: general, integral, rational or zero."""
+    return st.one_of(
+        st.lists(_FRACTIONS, min_size=1, max_size=M + 2),
+        st.lists(st.integers(-5, 5), min_size=1, max_size=M + 2),
+        _FRACTIONS.map(lambda r: [r]),
+        st.just([0]),
+    )
+
+
+def _assert_normal_form(x):
+    d = len(Cyclotomic.zero(x.M).n)
+    assert len(x.n) == d and all(type(a) is int for a in x.n)
+    assert type(x.den) is int and x.den > 0
+    assert gcd(*x.n, x.den) == 1
+    if not any(x.n):
+        assert (x.n, x.den) == ((0,) * d, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_integer_scalars_agree_with_the_fraction_reference(data):
+    M = data.draw(st.sampled_from(CONDUCTORS))
+    va = data.draw(_coeff_lists(M))
+    vb = data.draw(_coeff_lists(M))
+    r = data.draw(_FRACTIONS)
+    x, y = Cyclotomic(M, va), Cyclotomic(M, vb)
+    a, b = ref_reduce(M, va), ref_reduce(M, vb)
+    rr = ref_reduce(M, [r])
+    got = [(x, a), (y, b), (x + y, ref_add(a, b)), (x - y, ref_sub(a, b)),
+           (x * y, ref_mul(M, a, b)), (x * r, ref_mul(M, a, rr)),
+           (r * x, ref_mul(M, a, rr)), (x + r, ref_add(a, rr)),
+           (r - x, ref_sub(rr, a)), (-x, ref_sub(ref_reduce(M, [0]), a)),
+           (x.conjugate(), ref_conjugate(M, a))]
+    for k in (2, 3):
+        got.append((x.promote(k * M), ref_promote(M, a, k * M)))
+    if any(b):
+        got += [(y.invert(), ref_inv(M, b)),
+                (x / y, ref_mul(M, a, ref_inv(M, b)))]
+    if r:
+        got.append((x / r, ref_mul(M, a, ref_inv(M, rr))))
+    for value, expect in got:
+        assert value.c == expect
+        _assert_normal_form(value)
+        assert value.to_literal() == ref_literal(expect)
+        assert value == Cyclotomic(value.M, expect)
+        assert hash(value) == hash(Cyclotomic(value.M, expect))
+
+
 # -- q-combinatorics ---------------------------------------------------------
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -174,6 +241,19 @@ def test_hscalar_trailing_zeros_trimmed():
     assert (a - a).parts == ()
     assert (a - a).is_zero()
     assert a.shift(2).degree() == 5
+
+
+def test_hscalar_equality_across_conductors_is_false():
+    assert not HScalar.one(4) == HScalar.one(12)
+    assert HScalar.one(4) != HScalar.one(12)
+    assert not HScalar.one(12) == Cyclotomic.one(5)
+    assert HScalar.one(12) != Cyclotomic.one(4)
+    assert HScalar.one(12) == Cyclotomic.one(12)
+    assert HScalar.one(12) == 1
+    with pytest.raises(ValueError):
+        HScalar.one(4) + HScalar.one(12)
+    with pytest.raises(ValueError):
+        HScalar.one(12) * Cyclotomic.one(5)
 
 
 def test_hscalar_literals_round_shape():
