@@ -11,9 +11,12 @@ Every elimination runs on one Span: each inserted vector is reduced against
 the stored ones and, if anything is left, stored under its smallest key, its
 pivot.  Pivots are therefore taken in column order, so the pivot columns of a
 matrix are its first independent columns, and a solution read with the free
-variables at zero is the one the reduced row echelon form gives.  Dense
-matrices (lists of lists) are accepted at the public entry points and
-converted row by row.
+variables at zero is the one the reduced row echelon form gives.
+
+A linear system is a list of sparse rows {column: value} with a sparse
+right-hand side {row: value}; solve reads it as it is.  Dense matrices (lists
+of lists) appear only in the small m x m helpers rank, kernel_basis, mat_inv,
+mat_mul and mat_vec, whose callers hold group and form matrices.
 """
 
 from __future__ import annotations
@@ -187,14 +190,36 @@ def _sparse(row):
 def _echelon(rows, ncols):
     """Eliminate a list of sparse rows; returns (span, rank).
 
-    Each pivot's meta is the index of the row it came from.  rank counts the
+    Each pivot's meta is (index of the row it came from, the combo that
+    reduced the row), which names only rows stored before it.  rank counts the
     pivots in columns below ncols; a row may carry entries at ncols and past
     it (a right-hand side, an identity block), whose pivots are not counted.
     """
     span = Span()
     for i, row in enumerate(rows):
-        span.insert(row, i)
+        residue, combo = span.reduce(row)
+        if residue:
+            lead = min(residue)
+            span.pivots[lead] = (residue, (i, combo), residue[lead].invert())
     return span, sum(1 for c in span.pivots if c < ncols)
+
+
+def _source_rows(meta, one):
+    """A stored vector of _echelon as a sum {row index: coeff} of input rows.
+
+    It is its row minus its combo of earlier stored vectors, so unfolding the
+    latest pending row first has every term of a row in before it unfolds.
+    """
+    i, combo = meta
+    y, pending, combos = {}, {i: one}, {i: combo}
+    while pending:
+        k = max(pending)
+        a = pending.pop(k)
+        y[k] = a
+        for (j, combo_j), c in combos[k]:
+            combos[j] = combo_j
+            add_into(pending, j, -(a * c))
+    return y
 
 
 def _reduced(span):
@@ -220,13 +245,8 @@ def rank(A):
 def mat_inv(A, M):
     """Exact inverse of a square matrix; raises ValueError if singular."""
     n = len(A)
-    one = Cyclotomic.one(M)
-    zero = Cyclotomic.zero(M)
-    aug = []
-    for i, row in enumerate(A):
-        r = _sparse(row)
-        r[n + i] = one
-        aug.append(r)
+    one, zero = Cyclotomic.one(M), Cyclotomic.zero(M)
+    aug = [{**_sparse(row), n + i: one} for i, row in enumerate(A)]
     span, r = _echelon(aug, n)
     if r != n:
         raise ValueError("singular matrix")
@@ -256,35 +276,23 @@ def kernel_basis(A, ncols, M):
     return basis
 
 
-def solve(A, b, M):
-    """Solve A x = b exactly with one elimination; returns (x, bad_rows, rank).
+def solve(rows, rhs, ncols):
+    """Solve rows x = rhs with one elimination; returns (x, y, rank).
 
-    rank is the rank of A.  On a consistent system x is the solution with
-    every free variable at zero and bad_rows is empty.  On an inconsistent
-    one x is None and bad_rows lists the rows with a nonzero right-hand side:
-    the reduced echelon form of [A | b] has a pivot in the right-hand column
-    and clears it from every other row, so its reading of x is zero, and
-    these are the equations that reading violates.
+    rows are sparse rows {column: value} over columns below ncols, rhs is
+    {row index: nonzero value}, and rank is the rank of the rows.  On a
+    consistent system x is {column: value}, the solution with every free
+    variable at zero, and y is None.  On an inconsistent one x is None and y
+    is a witness {row index: coeff} with y^T rows = 0 and y^T rhs != 0 (one
+    exists by the Fredholm alternative): the rows whose combination the
+    elimination reduced to a pivot in the right-hand column.
     """
-    if not A:
-        return [], [], 0
-    ncols = len(A[0])
-    aug = []
-    for row, bi in zip(A, b):
-        r = _sparse(row)
-        if bi:
-            r[ncols] = bi
-        aug.append(r)
+    aug = [{**row, ncols: rhs[i]} if i in rhs else row
+           for i, row in enumerate(rows)]
     span, r = _echelon(aug, ncols)
-    if r < span.size:
-        return None, [i for i, bi in enumerate(b) if bi], r
-    zero = Cyclotomic.zero(M)
-    x = [zero] * ncols
-    for lead in sorted(span.pivots, reverse=True):
-        row, _, inv = span.pivots[lead]
-        s = row.get(ncols, zero)
-        for c, a in row.items():
-            if c != lead and c < ncols and x[c]:
-                s = s - a * x[c]
-        x[lead] = s * inv
-    return x, [], r
+    hit = span.pivots.get(ncols)
+    if hit is not None:
+        _, meta, inv = hit
+        return None, _source_rows(meta, Cyclotomic.one(inv.M)), r
+    x = {c: row[ncols] for c, row in _reduced(span).items() if ncols in row}
+    return x, None, r

@@ -432,8 +432,10 @@ def solve_b(pair):
 
     The unknown ranges over every label: the full exterior square at the
     identity and the exterior square of the normal space elsewhere.
-    Invariance, the bg2 matching, and bg3 are assembled into one exact linear
-    system; inconsistent rows are translated into per-label certificates.  A
+    Invariance, the bg2 matching, and bg3 are assembled into one exact sparse
+    linear system.  If it is inconsistent, the certificates are the sorted
+    descriptions of the rows in the witness of linalg.solve, a combination of
+    rows whose coefficients cancel and whose right-hand sides do not.  A
     pi that fails bg1 is rejected up front, since no constant correction can
     repair a cocycle failure.  Any b already present on ``pair`` is ignored.
     Requires w_b == 2 w_pi so that the bg2 sides couple.  A pi that passes
@@ -441,7 +443,6 @@ def solve_b(pair):
     built.
     """
     group = pair.group
-    M = group.M
     base = StructurePair(group, pi=pair.pi, w_pi=pair.w_pi, w_b=pair.w_b,
                          reality_swap=pair.reality_swap)
     if pair.w_b != 2 * pair.w_pi:
@@ -456,53 +457,42 @@ def solve_b(pair):
     if not is_invariant(base.pi):
         raise InvarianceError("linear part pi is not group-invariant")
 
-    basis = []        # list of (label, PolyVectorField)
-    for gi in range(group.order):
-        for elt in _wedge_basis_at_label(group, gi):
-            basis.append((gi, elt))
-
+    basis = [elt for gi in range(group.order)
+             for elt in _wedge_basis_at_label(group, gi)]
     engine = BracketEngine(base.pi)
-    Q = engine.bracket(base.pi)
-    bg3_fields = [engine.bracket(elt) for _, elt in basis]
-    inv_gens = group.gen_indices
-    inv_fields = [[act(g, elt) - elt for g in inv_gens] for _, elt in basis]
-    two = Cyclotomic.rational(M, 2)
-    d_fields = [koszul_differential(elt).scale(two) for _, elt in basis]
-
-    rows = []         # list of (coefficient row, rhs, description)
+    two = Cyclotomic.rational(group.M, 2)
+    rows, rhs, descs = [], {}, []     # sparse rows, {row: rhs}, one text per row
 
     def coord_rows(fields, rhs_field, describe):
-        keys = set()
-        for f in fields:
-            keys.update(f.terms)
-        if rhs_field is not None:
-            keys.update(rhs_field.terms)
-        for key in sorted(keys, key=lambda t: (t[0], t[2], t[1])):
-            row = [f.terms.get(key, Cyclotomic.zero(M)) for f in fields]
-            rhs = (rhs_field.terms.get(key, Cyclotomic.zero(M))
-                   if rhs_field is not None else Cyclotomic.zero(M))
-            rows.append((row, rhs, describe(key)))
+        # one row per term key, in (label, wedge, exponent) order
+        by_key = {key: {} for key in rhs_field.terms} if rhs_field else {}
+        for col, f in enumerate(fields):
+            for key, v in f.terms.items():
+                by_key.setdefault(key, {})[col] = v
+        for key in sorted(by_key, key=lambda t: (t[0], t[2], t[1])):
+            if rhs_field and key in rhs_field.terms:
+                rhs[len(rows)] = rhs_field.terms[key]
+            rows.append(by_key[key])
+            descs.append(describe(key))
 
-    coord_rows(d_fields, Q,
+    coord_rows((koszul_differential(elt).scale(two) for elt in basis),
+               engine.bracket(base.pi),
                lambda key: f"bg2 at {group.word_str(key[0])}")
-    coord_rows(bg3_fields, None,
+    coord_rows((engine.bracket(elt) for elt in basis), None,
                lambda key: f"bg3 at {group.word_str(key[0])}")
-    for gnum, g in enumerate(inv_gens):
-        coord_rows([fs[gnum] for fs in inv_fields], None,
+    for g in group.gen_indices:
+        coord_rows((act(g, elt) - elt for elt in basis), None,
                    lambda key, g=g: f"invariance under {group.word_str(g)} "
                                     f"at {group.word_str(key[0])}")
 
-    A = [row for row, _, _ in rows]
-    rhs = [r for _, r, _ in rows]
-    sol, bad_rows, rank = linalg.solve(A, rhs, M)
+    sol, witness, rank = linalg.solve(rows, rhs, len(basis))
     if sol is None:
-        certs = sorted({rows[i][2] for i in bad_rows})
+        certs = sorted({descs[i] for i in witness})
         return SolveBResult(False, None, 0, certs)
     free = len(basis) - rank
     b = PolyVectorField.zero(group)
-    for u, (_, elt) in zip(sol, basis):
-        if not u.is_zero():
-            b = b + elt.scale(u)
+    for col in sorted(sol):
+        b = b + basis[col].scale(sol[col])
     solved = StructurePair(group, pi=base.pi, b=b, w_pi=base.w_pi,
                            w_b=base.w_b, reality_swap=base.reality_swap)
     return SolveBResult(True, solved, free, [])

@@ -28,16 +28,36 @@ def test_rank_and_kernel_over_gaussian_rationals():
     assert all(not x for x in linalg.mat_vec(A, v))
 
 
+def _sparse_system(A, b):
+    rows = [{j: a for j, a in enumerate(row) if a} for row in A]
+    return rows, {i: bi for i, bi in enumerate(b) if bi}
+
+
+def _dense(x, m, M):
+    return [x.get(j, Cyclotomic.zero(M)) for j in range(m)]
+
+
+def _witness_holds(y, A, b, M):
+    """y^T A = 0 and y^T b != 0, on the dense A and b."""
+    zero = Cyclotomic.zero(M)
+    yA = [sum((y[i] * A[i][j] for i in y), zero) for j in range(len(A[0]))]
+    return not any(yA) and bool(sum((y[i] * b[i] for i in y), zero))
+
+
 def test_solve_consistent_and_inconsistent():
     M = 4
     A = [[_r(M, 1), _r(M, 2)], [_r(M, 2), _r(M, 4)]]
     b_ok = [_r(M, 3), _r(M, 6)]
-    x, bad, rank = linalg.solve(A, b_ok, M)
-    assert not bad and rank == 1
-    assert linalg.mat_vec(A, x) == b_ok
+    x, y, rank = linalg.solve(*_sparse_system(A, b_ok), 2)
+    assert y is None and rank == 1
+    assert x == {0: _r(M, 3)}
+    assert linalg.mat_vec(A, _dense(x, 2, M)) == b_ok
     b_bad = [_r(M, 3), _r(M, 7)]
-    x, bad, rank = linalg.solve(A, b_bad, M)
-    assert x is None and bad and rank == 1
+    x, y, rank = linalg.solve(*_sparse_system(A, b_bad), 2)
+    assert x is None and rank == 1
+    # 2 * row 0 - row 1 cancels A and leaves 6 - 7 on the right
+    assert y == {0: _r(M, -2), 1: _r(M, 1)}
+    assert _witness_holds(y, A, b_bad, M)
 
 
 def _random_scalar(rng, M):
@@ -99,18 +119,19 @@ def test_random_matrices_match_rank_nullity(seed=7):
             else:
                 b = [_random_scalar(rng, M) if rng.random() < 0.3 else zero
                      for _ in range(n)]
-            x, bad, rank = linalg.solve(A, b, M)
+            x, y, rank = linalg.solve(*_sparse_system(A, b), m)
             assert rank == r
             aug_rank = linalg.rank([row + [bi] for row, bi in zip(A, b)])
             if x is not None:
                 seen["consistent"] += 1
-                assert not bad and aug_rank == r
+                assert y is None and aug_rank == r
+                x = _dense(x, m, M)
                 assert linalg.mat_vec(A, x) == b
             else:
                 seen["inconsistent"] += 1
                 assert aug_rank == r + 1
-                # the zero reading of x violates exactly the reported rows
-                assert bad == [i for i, bi in enumerate(b) if bi != zero]
+                # the witness combines the rows to 0 = nonzero
+                assert _witness_holds(y, A, b, M)
             if M == 1:
                 S = _sympy_rational(M, [row + [bi] for row, bi in zip(A, b)])
                 R, pivots = S.rref()

@@ -6,6 +6,7 @@ from conftest import trivial_group, z2_group, gamma1_group, random_pvf
 from crossed_poisson.scalars import Cyclotomic, HScalar
 from crossed_poisson.polyvec import InvarianceError, PolyVectorField, StructurePair
 from crossed_poisson import catalog, pbw
+from crossed_poisson.groups import generate
 from crossed_poisson.pbw import (
     DeformedAlgebra,
     check_bg,
@@ -213,6 +214,44 @@ def test_solve_b_rejects_incompatible_weights():
     bad = StructurePair(pair.group, pi=pair.pi, w_pi=1, w_b=3)
     with pytest.raises(ValueError):
         solve_b(bad)
+
+
+def _permutation_group_on_doubled_space(n, signed):
+    """S_n, or with signed=True the signed permutations B_n, acting on
+    C^n + C^n by one matrix on both summands.  These matrices are
+    orthogonal, so the second summand is the dual of the first."""
+    def doubled(images):
+        # images[i] = (j, sign): coordinate i is sent to sign * coordinate j
+        out = [[0] * (2 * n) for _ in range(2 * n)]
+        for i, (j, sign) in enumerate(images):
+            out[i][j] = out[n + i][n + j] = sign
+        return out
+
+    gens = [doubled([(1, 1), (0, 1)] + [(i, 1) for i in range(2, n)]),
+            doubled([((i + 1) % n, 1) for i in range(n)])]
+    if signed:
+        gens.append(doubled([(0, -1)] + [(i, 1) for i in range(1, n)]))
+    return generate(gens, 1)
+
+
+@pytest.mark.parametrize("n, signed, order", [
+    (3, False, 6), (4, False, 24), (2, True, 8), (3, True, 48),
+], ids=["S3", "S4", "B2", "B3"])
+def test_solve_b_counts_flat_constant_deformations(n, signed, order):
+    # With pi = 0 the free parameters are the dimension of the flat constant
+    # b on V = h + h*: dim (wedge^2 V)^G plus the number of conjugacy classes
+    # of symplectic reflections (Etingof-Ginzburg, Invent. Math. 147, 2002).
+    # (wedge^2 V)^G = (h (x) h*)^G = End_G(h), as wedge^2 h and wedge^2 h*
+    # hold no invariant here.  For S_n, h = trivial + standard gives 2, and
+    # the transpositions are one class: 2 + 1.  For B_n, h is irreducible,
+    # which gives 1, and the reflections are two classes (the sign changes,
+    # the signed transpositions): 1 + 2.
+    G = _permutation_group_on_doubled_space(n, signed)
+    assert G.order == order
+    res = solve_b(StructurePair(G, pi=PolyVectorField.zero(G)))
+    assert res.feasible
+    assert res.free_parameters == 3
+    assert check_bg(res.pair).passed
 
 
 # -- one rule function for both rewriting paths ----------------------------------
