@@ -88,8 +88,12 @@ class TruncatedComplex:
         for gi in range(group.order):
             for wedge in combinations(range(m), j):
                 for expo in _monomials(m, self.poly_cap):
-                    raw = PolyVectorField.single(group, gi, expo, wedge, 1)
-                    image = pr(average(raw))
+                    # pr commutes with the group action, so projecting the
+                    # seed first skips the averaging of seeds pr kills
+                    seed = pr(PolyVectorField.single(group, gi, expo, wedge, 1))
+                    if seed.is_zero():
+                        continue
+                    image = average(seed)
                     if image.is_zero():
                         continue
                     # the stored row, not the image, is the basis field:

@@ -35,19 +35,6 @@ class InvarianceError(ValueError):
 # commutative polynomial dictionaries {exponent tuple: Cyclotomic}
 # ---------------------------------------------------------------------------
 
-def p_add(a, b):
-    out = dict(a)
-    for e, v in b.items():
-        add_into(out, e, v)
-    return out
-
-
-def p_scale(p, c):
-    if not c:
-        return {}
-    return {e: v * c for e, v in p.items()}
-
-
 def p_mul(a, b):
     out = {}
     for e1, v1 in a.items():
@@ -377,92 +364,71 @@ class StructurePair:
 
 
 class BracketEngine:
-    """Evaluator for the label-graded trilinear bracket sum against one field.
+    """The label-graded trilinear bracket sum against one inner field,
+    compiled once into a sparse kernel.
 
-    For ordered coordinates (a, b, c) and an outer field it computes, per
-    output label,
+    For ordered coordinates a < b < c and an outer field X the bracket is,
+    per output label,
       sum over label pairs (alpha, beta) of
-        outer_alpha(inner_beta(x_a, x_b), x_c + beta.x_c) + cyclic,
-    where the inner field's slots must evaluate to linear polynomials.  The
-    inner field is decomposed once, when the engine is built, so one engine
-    serves every outer field bracketed against it.
+        X_alpha(inner_beta(x_a, x_b), x_c + beta.x_c) + cyclic,
+    where the inner field's slots must be linear.  The sum is linear in X, so
+    the engine stores it per inner label beta.  With the twisted covectors
+    tw_beta[w][s] = G_beta[w][s] + delta_ws and dec_beta(u, v)[t] the
+    coefficient of x_t in inner_beta(x_u, x_v), negated when u > v,
+      K_beta[(p, q)][(a, b, c)] = sum over (u, v, w) in
+        {(a, b, c), (b, c, a), (c, a, b)} of
+        dec_beta(u, v)[p] * tw_beta[w][q] - dec_beta(u, v)[q] * tw_beta[w][p]
+    for p < q.  An outer term c x^e (x) e_p ^ e_q at label alpha then adds
+    c * K at (alpha beta, e, (a, b, c)) for every beta and every nonzero
+    entry K of K_beta[(p, q)].
     """
 
     def __init__(self, inner):
         group = inner.group
         self.group = group
         m = group.dim
-        self.m = m
-        # per inner label: the twisted covectors x_k + beta.x_k, and the
-        # pair decomposition inner(x_a, x_b) = sum of cc * x_t for a < b,
-        # read off the coefficient at wedge (a, b)
-        self.inner = {}
+        # {beta: {(p, q): {triple: K}}}, nonzero entries only
+        self.kernel = {}
         for beta, comp in inner.components().items():
-            Bm = group.matrix(beta)
-            tw = []
-            for k in range(m):
-                vec = [Bm[k][j] for j in range(m)]
-                vec[k] = vec[k] + 1
-                tw.append(vec)
             dec = {}
             for (expo, w), c in comp.items():
-                a, b = _pair(w)
-                if a == b:
-                    continue
-                if a > b:
-                    a, b, c = b, a, -c
+                u, v = _pair(w)
                 if sum(expo) != 1:
                     raise UnsupportedStructureError(
                         "inner bracket slot must be linear")
-                dec.setdefault((a, b), []).append((expo.index(1), c))
-            self.inner[beta] = (tw, dec)
-
-    @staticmethod
-    def _dec(dec, a, b):
-        if a < b:
-            return dec.get((a, b), ())
-        return [(t, -cc) for t, cc in dec.get((b, a), ())]
-
-    def slots(self, outer):
-        """{label: slots} of an outer field: slots[t] lists (expo, coeff, s)
-        for each term whose wedge holds e_t, so that the term's wedge against
-        (e_t, v) is coeff * v[s] (the coefficient negated when t is second)."""
-        out = {}
-        for alpha, comp in outer.components().items():
-            slots = out[alpha] = [[] for _ in range(self.m)]
-            for (expo, w), c in comp.items():
-                a, b = _pair(w)
-                if a != b:
-                    slots[a].append((expo, c, b))
-                    slots[b].append((expo, -c, a))
-        return out
-
-    def trilinear(self, outer_slots, a, b, c):
-        """{output label: polynomial dict} for arguments (x_a, x_b, x_c),
-        given the slots of the outer field."""
-        group = self.group
-        out = {}
-        for alpha, slots in outer_slots.items():
-            for beta, (tw, dec) in self.inner.items():
-                label = group.mul[alpha][beta]
-                total = {}
-                for (u, v, w) in ((a, b, c), (b, c, a), (c, a, b)):
-                    for t, cc in self._dec(dec, u, v):
-                        part = _slot_eval(slots[t], tw[w])
-                        if part:
-                            total = p_add(total, p_scale(part, cc))
-                if total:
-                    out[label] = p_add(out.get(label, {}), total)
-        return {k: v for k, v in out.items() if v}
+                t = expo.index(1)
+                add_into(dec.setdefault((u, v), {}), t, c)
+                add_into(dec.setdefault((v, u), {}), t, -c)
+            Bm = group.matrix(beta)
+            tw = [[Bm[k][j] + 1 if j == k else Bm[k][j] for j in range(m)]
+                  for k in range(m)]
+            table = {}
+            for tri in combinations(range(m), 3):
+                a, b, c = tri
+                for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+                    for t, cc in dec.get((u, v), {}).items():
+                        for s, d in enumerate(tw[w]):
+                            if d and s != t:
+                                k = cc * d
+                                pq, k = ((t, s), k) if t < s else ((s, t), -k)
+                                add_into(table.setdefault(pq, {}), tri, k)
+            table = {pq: row for pq, row in table.items() if row}
+            if table:
+                self.kernel[beta] = table
 
     def bracket(self, outer):
         """The trilinear bracket sum of the outer field against the inner one."""
-        outer_slots = self.slots(outer)
+        mul = self.group.mul
         terms = {}
-        for (i, j, k) in combinations(range(self.m), 3):
-            for label, poly in self.trilinear(outer_slots, i, j, k).items():
-                for expo, cc in poly.items():
-                    add_into(terms, (label, expo, (i, j, k)), cc)
+        for (alpha, expo, w), c in outer.terms.items():
+            pq = _pair(w)
+            row = mul[alpha]
+            for beta, table in self.kernel.items():
+                entries = table.get(pq)
+                if entries:
+                    label = row[beta]
+                    for tri, k in entries.items():
+                        add_into(terms, (label, expo, tri), c * k)
         return outer._like(terms)
 
 
@@ -470,16 +436,6 @@ def _pair(w):
     if len(w) != 2:
         raise UnsupportedStructureError("bracket slots must be 2-fields")
     return w
-
-
-def _slot_eval(slots, v):
-    """The slots of one index against the vector v, as a polynomial dict."""
-    out = {}
-    for expo, c, s in slots:
-        d = v[s]
-        if d:
-            add_into(out, expo, c * d)
-    return out
 
 
 def gen_bracket_pi_pi(pair):

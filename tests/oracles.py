@@ -2,19 +2,25 @@
 
 These are independent cross-checks and small conveniences: closed forms of
 the q-difference calculus, the antilinear reality involution, class counts
-by codimension, the degree-0 cohomology comparison, dense matrix helpers and
-a Fraction-only model of cyclotomic arithmetic.
+by codimension, the degree-0 cohomology comparison, dense matrix helpers,
+a Fraction-only model of cyclotomic arithmetic and a slot-by-slot evaluator
+of the trilinear bracket.
 The engine does not use them, so they live beside the tests instead of in
 the package.
 """
 
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import combinations
 
 from crossed_poisson.cohom import h_truncated
 from crossed_poisson.groups import GeometryError
 from crossed_poisson.linalg import add_into
-from crossed_poisson.polyvec import PolyVectorField, wedge_sort
+from crossed_poisson.polyvec import (
+    PolyVectorField,
+    UnsupportedStructureError,
+    wedge_sort,
+)
 from crossed_poisson.qmoyal import (
     QPoly,
     StarError,
@@ -197,6 +203,130 @@ def conjugate_swap(X, swap):
 
 def is_real(X, swap):
     return conjugate_swap(X, swap) == X
+
+
+# -- the trilinear bracket, slot by slot ----------------------------------------------
+#
+# The engine compiles the bracket against its inner field into one kernel per
+# inner label.  This evaluator instead evaluates the outer field's slots
+# against the twisted covectors for every coordinate triple, cyclic rotation
+# and label pair, as the engine once did.
+
+def p_add(a, b):
+    out = dict(a)
+    for e, v in b.items():
+        add_into(out, e, v)
+    return out
+
+
+def p_scale(p, c):
+    if not c:
+        return {}
+    return {e: v * c for e, v in p.items()}
+
+
+def _pair(w):
+    if len(w) != 2:
+        raise UnsupportedStructureError("bracket slots must be 2-fields")
+    return w
+
+
+def _slot_eval(slots, v):
+    """The slots of one index against the vector v, as a polynomial dict."""
+    out = {}
+    for expo, c, s in slots:
+        d = v[s]
+        if d:
+            add_into(out, expo, c * d)
+    return out
+
+
+class ReferenceBracket:
+    """For ordered coordinates (a, b, c) and an outer field, per output label,
+      sum over label pairs (alpha, beta) of
+        outer_alpha(inner_beta(x_a, x_b), x_c + beta.x_c) + cyclic,
+    where the inner field's slots must evaluate to linear polynomials."""
+
+    def __init__(self, inner):
+        group = inner.group
+        self.group = group
+        m = group.dim
+        self.m = m
+        # per inner label: the twisted covectors x_k + beta.x_k, and the
+        # pair decomposition inner(x_a, x_b) = sum of cc * x_t for a < b,
+        # read off the coefficient at wedge (a, b)
+        self.inner = {}
+        for beta, comp in inner.components().items():
+            Bm = group.matrix(beta)
+            tw = []
+            for k in range(m):
+                vec = [Bm[k][j] for j in range(m)]
+                vec[k] = vec[k] + 1
+                tw.append(vec)
+            dec = {}
+            for (expo, w), c in comp.items():
+                a, b = _pair(w)
+                if a == b:
+                    continue
+                if a > b:
+                    a, b, c = b, a, -c
+                if sum(expo) != 1:
+                    raise UnsupportedStructureError(
+                        "inner bracket slot must be linear")
+                dec.setdefault((a, b), []).append((expo.index(1), c))
+            self.inner[beta] = (tw, dec)
+
+    @staticmethod
+    def _dec(dec, a, b):
+        if a < b:
+            return dec.get((a, b), ())
+        return [(t, -cc) for t, cc in dec.get((b, a), ())]
+
+    def slots(self, outer):
+        """{label: slots} of an outer field: slots[t] lists (expo, coeff, s)
+        for each term whose wedge holds e_t, so that the term's wedge against
+        (e_t, v) is coeff * v[s] (the coefficient negated when t is second)."""
+        out = {}
+        for alpha, comp in outer.components().items():
+            slots = out[alpha] = [[] for _ in range(self.m)]
+            for (expo, w), c in comp.items():
+                a, b = _pair(w)
+                if a != b:
+                    slots[a].append((expo, c, b))
+                    slots[b].append((expo, -c, a))
+        return out
+
+    def trilinear(self, outer_slots, a, b, c):
+        """{output label: polynomial dict} for arguments (x_a, x_b, x_c),
+        given the slots of the outer field."""
+        group = self.group
+        out = {}
+        for alpha, slots in outer_slots.items():
+            for beta, (tw, dec) in self.inner.items():
+                label = group.mul[alpha][beta]
+                total = {}
+                for (u, v, w) in ((a, b, c), (b, c, a), (c, a, b)):
+                    for t, cc in self._dec(dec, u, v):
+                        part = _slot_eval(slots[t], tw[w])
+                        if part:
+                            total = p_add(total, p_scale(part, cc))
+                if total:
+                    out[label] = p_add(out.get(label, {}), total)
+        return {k: v for k, v in out.items() if v}
+
+    def bracket(self, outer):
+        outer_slots = self.slots(outer)
+        terms = {}
+        for (i, j, k) in combinations(range(self.m), 3):
+            for label, poly in self.trilinear(outer_slots, i, j, k).items():
+                for expo, cc in poly.items():
+                    add_into(terms, (label, expo, (i, j, k)), cc)
+        return PolyVectorField(outer.group, terms)
+
+
+def reference_bracket(inner, outer):
+    """The trilinear bracket sum of outer against inner, slot by slot."""
+    return ReferenceBracket(inner).bracket(outer)
 
 
 # -- cohomology --------------------------------------------------------------------

@@ -6,16 +6,26 @@ rewriting system (Bergman's diamond lemma).  On every invariant pair they must
 give the same verdict, and every constant correction `solve_b` finds must pass
 both.  The pairs are random invariant ones over small generated groups, and
 the catalog's flat pairs with their two parts rescaled independently, which
-moves the self-bracket of pi against the differential of b.
+moves the self-bracket of pi against the differential of b.  A third
+strategy draws pi from the exact solution space of the conditions that are
+linear in pi, bg1 and invariance, so that solve_b meets a pi it must bracket.
 """
 
 import functools
+from itertools import combinations
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from crossed_poisson import catalog, pbw
+from crossed_poisson import catalog, linalg, pbw
 from crossed_poisson.groups import GroupOrderError, generate
-from crossed_poisson.polyvec import PolyVectorField, StructurePair, act, average, pr
+from crossed_poisson.polyvec import (
+    PolyVectorField,
+    StructurePair,
+    act,
+    average,
+    koszul_differential,
+    pr,
+)
 from crossed_poisson.scalars import Cyclotomic, root_of_unity
 
 MAX_ORDER = 12
@@ -125,6 +135,68 @@ def test_flatness_routes_agree_on_generated_pairs(pair):
         if result.feasible:
             assert pbw.check_bg(result.pair).passed
             assert pbw.overlap_confluence(result.pair).ok
+
+
+@functools.lru_cache(maxsize=None)
+def _linear_solution_space(n):
+    """The gamma_n group and a basis of the linear 2-fields on it that are
+    twisted cocycles at every label (bg1) and group-invariant."""
+    group = catalog.gamma_n_family(n, 1).group
+    m, M = group.dim, group.M
+    unknowns = [PolyVectorField.single(group, gi, tuple(int(k == t) for k in range(m)),
+                                       w, 1)
+                for gi in range(group.order) for t in range(m)
+                for w in combinations(range(m), 2)]
+    rows = {}   # (condition, term key): {unknown: coefficient}
+    for col, u in enumerate(unknowns):
+        conditions = [koszul_differential(u)]
+        conditions += [act(g, u) - u for g in group.gen_indices]
+        for i, field in enumerate(conditions):
+            for key, v in field.terms.items():
+                rows.setdefault((i, key), {})[col] = v
+    zero = Cyclotomic.zero(M)
+    dense = [[row.get(c, zero) for c in range(len(unknowns))] for row in rows.values()]
+    basis = []
+    for vec in linalg.kernel_basis(dense, len(unknowns), M):
+        field = PolyVectorField.zero(group)
+        for u, v in zip(unknowns, vec):
+            if v:
+                field = field + u.scale(v)
+        basis.append(field)
+    return group, tuple(basis)
+
+
+@st.composite
+def solution_space_pairs(draw):
+    """pi a small-integer combination of the solution space basis on
+    gamma_n, n = 1 or 2; b is left for solve_b."""
+    group, basis = _linear_solution_space(draw(st.sampled_from((1, 2))))
+    pi = PolyVectorField.zero(group)
+    for field in basis:
+        pi = pi + field.scale(Cyclotomic.rational(group.M, draw(st.integers(-2, 2))))
+    return StructurePair(group, pi=pi)
+
+
+def test_flatness_routes_agree_on_solution_space_pairs():
+    # on gamma_n with n = 2 these pi admit a constant correction, with n = 1
+    # they do not; both outcomes must occur
+    outcomes = set()
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(solution_space_pairs())
+    def check(pair):
+        assert pbw.check_bg(pair).passed == pbw.overlap_confluence(pair).ok
+        result = pbw.solve_b(pair)
+        if result.feasible:
+            assert pbw.check_bg(result.pair).passed
+            assert pbw.overlap_confluence(result.pair).ok
+            outcomes.add("zero b" if result.pair.b.is_zero() else "nonzero b")
+        else:
+            outcomes.add("infeasible")
+
+    check()
+    assert {"nonzero b", "infeasible"} <= outcomes
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,

@@ -8,16 +8,17 @@ files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff.
+and review the diff.  With --check the script compares every case byte for
+byte instead, writes nothing, and exits 1 naming each differing file; it
+needs no pytest, so it runs on any interpreter that can import the package.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import pathlib
 import sys
-
-import pytest
 
 from crossed_poisson import catalog, cli
 
@@ -152,7 +153,12 @@ def _path(name, fmt):
     return GOLDEN / f"{name}.{'json' if fmt == 'json' else 'txt'}"
 
 
-@pytest.mark.parametrize("name, argv, build", CASES, ids=[c[0] for c in CASES])
+def pytest_generate_tests(metafunc):
+    if metafunc.function is test_golden_output:
+        metafunc.parametrize("name, argv, build", CASES,
+                             ids=[c[0] for c in CASES])
+
+
 def test_golden_output(name, argv, build):
     stdin = build()
     for fmt in ("text", "json"):
@@ -160,10 +166,32 @@ def test_golden_output(name, argv, build):
         assert run_case(argv, stdin, fmt) == expected, (name, fmt)
 
 
-if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
+def main(args):
+    parser = argparse.ArgumentParser(
+        description="Rewrite the golden CLI outputs, or compare them.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare every case byte for byte and write "
+                             "nothing; exit 1 naming each differing file")
+    check = parser.parse_args(args).check
+    if not check:
+        GOLDEN.mkdir(exist_ok=True)
+    differing = []
     for name, argv, build in CASES:
         stdin = build()
         for fmt in ("text", "json"):
-            _path(name, fmt).write_text(run_case(argv, stdin, fmt), encoding="utf-8")
-            print("wrote", _path(name, fmt))
+            path = _path(name, fmt)
+            out = run_case(argv, stdin, fmt).encode("utf-8")
+            if not check:
+                path.write_bytes(out)
+                print("wrote", path)
+            elif not path.is_file() or path.read_bytes() != out:
+                differing.append(path)
+                print("differs", path)
+    if check:
+        print(f"{len(CASES)} cases, {2 * len(CASES)} files, "
+              f"{len(differing)} differing")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from crossed_poisson import catalog
 from crossed_poisson.groups import generate
 from crossed_poisson.scalars import Cyclotomic, Q, root_of_unity
 from crossed_poisson.polyvec import (
@@ -21,7 +22,6 @@ from crossed_poisson.polyvec import (
     poisson_differential,
     pr,
     p_mul,
-    p_scale,
     schouten,
     wedge_insert,
     wedge_sort,
@@ -29,7 +29,7 @@ from crossed_poisson.polyvec import (
 )
 
 from conftest import gamma1_group, random_pvf, trivial_group, z2_group
-from oracles import conjugate_swap, is_real
+from oracles import ReferenceBracket, conjugate_swap, is_real, p_scale, reference_bracket
 
 
 def test_wedge_utilities():
@@ -302,28 +302,68 @@ def test_gen_bracket_b_pi_frozen():
     assert out == expect
 
 
+def _linear_2field(group, rng, nterms):
+    """A random field of wedge degree 2 whose terms are linear."""
+    terms = {}
+    for (gi, e, w), c in random_pvf(group, rng, nterms=nterms, max_deg=0,
+                                    wedge_deg=2).terms.items():
+        e = list(e)
+        e[rng.randrange(group.dim)] += 1
+        terms[(gi, tuple(e), w)] = c
+    return PolyVectorField(group, terms)
+
+
 def test_trilinear_is_alternating():
     G = gamma1_group()
     rng = random.Random(31)
-    pi = random_pvf(G, rng, nterms=5, max_deg=0, wedge_deg=2)
-    # make it linear
-    terms = {}
-    for (gi, e, w), c in pi.terms.items():
-        e = list(e)
-        e[rng.randrange(G.dim)] += 1
-        terms[(gi, tuple(e), w)] = c
-    pi = PolyVectorField(G, terms)
-    eng = BracketEngine(pi)
-    outer = eng.slots(pi)
+    pi = _linear_2field(G, rng, 5)
+    ref = ReferenceBracket(pi)
+    outer = ref.slots(pi)
     for (a, b, c) in ((0, 1, 2), (0, 2, 3), (1, 2, 3)):
-        T = eng.trilinear(outer, a, b, c)
-        T_swap = eng.trilinear(outer, b, a, c)
-        T_cyc = eng.trilinear(outer, b, c, a)
+        T = ref.trilinear(outer, a, b, c)
+        T_swap = ref.trilinear(outer, b, a, c)
+        T_cyc = ref.trilinear(outer, b, c, a)
         for label, poly in T.items():
             assert T_swap.get(label, {}) == p_scale(
                 poly, Cyclotomic.rational(G.M, -1))
             assert T_cyc.get(label, {}) == poly
         assert set(T_swap) == set(T)
+
+
+@pytest.mark.parametrize("make_group", [
+    gamma1_group,
+    lambda: catalog.gamma_n_family(2, 1).group,
+    lambda: trivial_group(4),
+    lambda: trivial_group(5),
+], ids=["gamma1", "gamma2", "trivial4", "trivial5"])
+def test_bracket_kernel_matches_slot_evaluation(make_group):
+    G = make_group()
+    rng = random.Random(7)
+    for _ in range(50):
+        pi = _linear_2field(G, rng, rng.randint(1, 8))
+        outer = random_pvf(G, rng, nterms=rng.randint(1, 6), max_deg=3,
+                           wedge_deg=2)
+        eng = BracketEngine(pi)
+        assert eng.bracket(pi) == reference_bracket(pi, pi)
+        assert eng.bracket(outer) == reference_bracket(pi, outer)
+
+
+def test_bracket_rejects_outer_terms_that_are_not_2fields():
+    G = gamma1_group()
+    eng = BracketEngine(_linear_2field(G, random.Random(3), 4))
+    for wedge in ((1,), (0, 1, 2)):
+        outer = PolyVectorField.single(G, 0, (1, 0, 0, 0), wedge, 1)
+        with pytest.raises(UnsupportedStructureError):
+            eng.bracket(outer)
+
+
+def test_bracket_against_zero_field_vanishes():
+    G = gamma1_group()
+    rng = random.Random(5)
+    eng = BracketEngine(PolyVectorField.zero(G))
+    for _ in range(5):
+        outer = random_pvf(G, rng, nterms=5, max_deg=3, wedge_deg=2)
+        assert eng.bracket(outer).is_zero()
 
 
 def test_nonlinear_inner_slot_rejected():
