@@ -11,6 +11,12 @@ The cap bookkeeping: the structure fields in scope have linear or constant
 coefficients, so the differential never raises polynomial degree and lowers
 it by at most one.  To report cohomology through degree d it is enough to
 assemble every space through degree d + 1.
+
+The degree bookkeeping: H^k reads the cochain spaces of degrees k - 1, k and
+k + 1 and the maps between them, so h_truncated builds the complex only up
+to top = k + 1.  The relation d o d = 0 is asserted on every pair of built
+maps, and for top = 1, where only one map exists, by applying the
+differential once more to each of its images.
 """
 
 from __future__ import annotations
@@ -51,34 +57,49 @@ def _monomials(m, cap):
     return out
 
 
+_NOT_SQUARE_ZERO = "the assembled differential does not square to zero"
+
+
 class TruncatedComplex:
-    """Exact matrices of the structure differential through cochain degree 3.
+    """Exact matrices of the structure differential through cochain degree top.
 
     bases[j] lists the representative fields spanning the degree-j cochain
-    space through the polynomial cap; matrices[j] holds the differential
-    C^j -> C^{j+1} column by column as {row: coeff} dictionaries.  Building
-    the complex asserts that consecutive matrices compose to zero.
+    space through the polynomial cap, for j = 0 .. top; matrices[j] holds the
+    differential C^j -> C^{j+1} column by column as {row: coeff}
+    dictionaries, for j = 0 .. top - 1.  The default top = 3 builds the whole
+    complex; cohomology(k, d) needs top >= k + 1.
+
+    Building the complex asserts d o d = 0: on matrices j and j + 1 for every
+    j < top - 1, and for top = 1 by applying the differential to each
+    nonzero image of bases[0], which needs no basis in degree 2.
     """
 
-    def __init__(self, pair, poly_cap):
+    def __init__(self, pair, poly_cap, top=3):
+        if not 1 <= top <= 3:
+            raise UnsupportedDegreeError("the complex is built through degree 1, 2, or 3")
         report = is_poisson(pair)
         if not report.ok:
             raise ValueError("structure pair is not Poisson on the representative space")
         self.pair = pair
         self.group = pair.group
         self.poly_cap = poly_cap
+        self.top = top
         self.bases = []
         self.degrees = []
         self._spans = []
-        for j in range(4):
+        for j in range(top + 1):
             fields, degs, span = self._representative_basis(j)
             self.bases.append(fields)
             self.degrees.append(degs)
             self._spans.append(span)
         self._images = {}   # degree j: the differential of each field of bases[j]
-        self.matrices = [self._matrix(j) for j in range(3)]
-        for j in (0, 1):
+        self.matrices = [self._matrix(j) for j in range(top)]
+        for j in range(top - 1):
             self._assert_square_zero(j)
+        if top == 1:
+            for img in self._images[0]:
+                if not img.is_zero() and not poisson_differential(pair, img).is_zero():
+                    raise RuntimeError(_NOT_SQUARE_ZERO)
 
     def _representative_basis(self, j):
         group = self.group
@@ -86,6 +107,10 @@ class TruncatedComplex:
         fields, degs = [], []
         span = Span()
         for gi in range(group.order):
+            # a wedge shorter than the codimension holds no full normal
+            # wedge, so pr kills every seed at this label
+            if group.geometry(gi).codim > j:
+                continue
             for wedge in combinations(range(m), j):
                 for expo in _monomials(m, self.poly_cap):
                     # pr commutes with the group action, so projecting the
@@ -127,7 +152,7 @@ class TruncatedComplex:
                 for row2, c2 in second[row].items():
                     add_into(acc, row2, c * c2)
             if acc:
-                raise RuntimeError("the assembled differential does not square to zero")
+                raise RuntimeError(_NOT_SQUARE_ZERO)
 
     def _field_from_source(self, j, combo):
         out = PolyVectorField.zero(self.group)
@@ -139,6 +164,9 @@ class TruncatedComplex:
         """Kernel, image, and quotient data for cochain degree k through cap d."""
         if not 0 <= k <= 2:
             raise UnsupportedDegreeError("cochain degree must be 0, 1, or 2")
+        if k + 1 > self.top:
+            raise ValueError(f"degree {k} needs the complex through degree {k + 1}; "
+                             f"it was built through degree {self.top}")
         if d > self.poly_cap - 1:
             raise ValueError("cap exceeds the assembled window")
         # cocycles among sources of degree <= d
@@ -240,5 +268,5 @@ def h_truncated(pair, k, d):
     """Cohomology of the structure differential at cochain degree k, cap d."""
     if not 0 <= k <= 2:
         raise UnsupportedDegreeError("cochain degree must be 0, 1, or 2")
-    return TruncatedComplex(pair, d + 1).cohomology(k, d)
+    return TruncatedComplex(pair, d + 1, top=k + 1).cohomology(k, d)
 

@@ -456,7 +456,13 @@ def pr(X):
     """Project each label's component onto restricted coefficients and the
     full normal wedge: in coordinates adapted to V^gamma + N^gamma, keep only
     terms whose polynomial part uses fixed coordinates exclusively and whose
-    wedge contains every normal direction."""
+    wedge contains every normal direction.
+
+    Two shortcuts give the same terms without the transforms: at a label of
+    codimension 0 (the identity) the adapted coordinates are the coordinates
+    and every term is kept, so the terms pass through unchanged; at the other
+    labels a term whose wedge is shorter than the codimension cannot contain
+    the normal wedge, so it is dropped before any transform."""
     group = X.group
     m = group.dim
     by_label = {}
@@ -465,6 +471,10 @@ def pr(X):
     out = {}
     for gi, items in by_label.items():
         geo = group.geometry(gi)
+        if not geo.codim:
+            out.update(items)
+            continue
+        items = [(key, c) for key, c in items if len(key[2]) >= geo.codim]
         s = m - geo.codim
         normal = frozenset(range(s, m))
         ad = _transform_terms(items, geo.to_adapted, lambda g: g)

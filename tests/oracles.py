@@ -2,9 +2,10 @@
 
 These are independent cross-checks and small conveniences: closed forms of
 the q-difference calculus, the antilinear reality involution, class counts
-by codimension, the degree-0 cohomology comparison, dense matrix helpers,
-a Fraction-only model of cyclotomic arithmetic and a slot-by-slot evaluator
-of the trilinear bracket.
+by codimension, the literature count of flat constant deformations, the
+degree-0 cohomology comparison, dense matrix helpers, a Fraction-only model
+of cyclotomic arithmetic, a slot-by-slot evaluator of the trilinear bracket
+and the label-wise projection as a transform, a filter and a transform back.
 The engine does not use them, so they live beside the tests instead of in
 the package.
 """
@@ -19,6 +20,7 @@ from crossed_poisson.linalg import add_into
 from crossed_poisson.polyvec import (
     PolyVectorField,
     UnsupportedStructureError,
+    _transform_terms,
     wedge_sort,
 )
 from crossed_poisson.qmoyal import (
@@ -30,6 +32,8 @@ from crossed_poisson.qmoyal import (
     sigma_z,
 )
 from crossed_poisson.scalars import Cyclotomic, q_binomial
+from sympy import QQ, Symbol, cyclotomic_poly
+from sympy.polys.matrices import DomainMatrix
 
 
 # -- cyclotomic arithmetic over Fractions -----------------------------------------
@@ -162,6 +166,66 @@ def codim_class_counts(group):
         cd = cds.pop()
         counts[cd] = counts.get(cd, 0) + 1
     return counts
+
+
+def flat_constant_count(group):
+    """The dimension of the flat constant deformations of the zero structure
+    that the literature gives from group data alone (Drinfeld, 1986; Ram and
+    Shepler, Comment. Math. Helv. 78, 2003; Etingof and Ginzburg, Invent.
+    Math. 147, 2002): dim (wedge^2 V)^G, plus the number of conjugacy
+    classes of elements g whose fixed space has codimension 2 and whose
+    centraliser acts with determinant 1 on the normal plane of g.
+
+    Computed with sympy over Q, in Q[z]/(Phi_M), from the element matrices
+    and the multiplication table only; the engine's scalars, geometry and
+    elimination are not used.  With P_g the average of the powers of g, the
+    projector onto the fixed space along the normal plane im(1 - P_g):
+      * dim (wedge^2 V)^G is the average of (chi(g)^2 - chi(g^2)) / 2;
+      * the codimension of g is dim V - trace(P_g);
+      * h in Z(g) acts on the normal plane with the determinant of
+        h (1 - P_g) + P_g, which is h there and the identity on V^g.
+    """
+    m = group.dim
+    R = QQ["z"]
+    z = R.gens[0]
+    phi = R.from_sympy(cyclotomic_poly(group.M, Symbol("z")))
+
+    def reduce(A):
+        return A.applyfunc(lambda e: e % phi, R)
+
+    def trace(A):
+        return sum(A.diagonal(), R.zero)
+
+    def rational(e):
+        e = e % phi
+        assert e.is_ground, "a dimension left Q"
+        return QQ.to_sympy(e.LC) if e else 0
+
+    mats = [DomainMatrix([[sum((R(QQ(a.numerator, a.denominator)) * z ** k
+                                 for k, a in enumerate(x.c)), R.zero)
+                            for x in row] for row in g], (m, m), R)
+            for g in group.elements]
+    one = DomainMatrix.eye(m, R)
+    order = group.order
+    chi2 = sum((trace(mats[g]) ** 2 - trace(mats[group.mul[g][g]])
+                for g in range(order)), R.zero)
+    count = rational(chi2) / (2 * order)
+    for cls in group.conjugacy_classes():
+        g = cls[0]
+        powers, x = [], 0
+        while True:
+            powers.append(mats[x])
+            x = group.mul[x][g]
+            if x == 0:
+                break
+        P = reduce(sum(powers[1:], powers[0]) * R(QQ(1, len(powers))))
+        if m - rational(trace(P)) != 2:
+            continue
+        if all(not (reduce(mats[h] * (one - P) + P).det() - 1) % phi
+               for h in centralizer(group, g)):
+            count += 1
+    assert count == int(count)
+    return int(count)
 
 
 # -- polyvector fields -------------------------------------------------------------
@@ -327,6 +391,34 @@ class ReferenceBracket:
 def reference_bracket(inner, outer):
     """The trilinear bracket sum of outer against inner, slot by slot."""
     return ReferenceBracket(inner).bracket(outer)
+
+
+# -- the label-wise projection, transform by transform --------------------------------
+#
+# The engine's pr passes identity-label terms through and drops short wedges
+# before transforming.  This is the projection without those shortcuts:
+# every term into adapted coordinates, a filter, and back.
+
+def reference_pr(X):
+    """Project each label's component onto restricted coefficients and the
+    full normal wedge: in coordinates adapted to V^gamma + N^gamma, keep only
+    terms whose polynomial part uses fixed coordinates exclusively and whose
+    wedge contains every normal direction."""
+    group = X.group
+    m = group.dim
+    by_label = {}
+    for key, c in X.terms.items():
+        by_label.setdefault(key[0], []).append((key, c))
+    out = {}
+    for gi, items in by_label.items():
+        geo = group.geometry(gi)
+        s = m - geo.codim
+        normal = frozenset(range(s, m))
+        ad = _transform_terms(items, geo.to_adapted, lambda g: g)
+        keep = [(key, c) for key, c in ad.items()
+                if not any(key[1][s:]) and normal <= frozenset(key[2])]
+        out.update(_transform_terms(keep, geo.from_adapted, lambda g: g))
+    return X._like(out)
 
 
 # -- cohomology --------------------------------------------------------------------

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from conftest import sl2_order3_pair, z2_group
-from crossed_poisson import catalog, linalg
+from crossed_poisson import catalog, cohom, linalg
+from crossed_poisson.groups import generate
 from crossed_poisson.scalars import Cyclotomic, Q
 from crossed_poisson.polyvec import (
     PolyVectorField,
@@ -32,6 +33,18 @@ def r3_pair(variant):
 def reflection_pair():
     G = z2_group()
     return catalog.symplectic_reflection(G, [[0, 1], [-1, 0]], {1: 1}).structure
+
+
+def signed_swap_pair():
+    # {1, s, -1, -s} on C^2 + C^2*, s swapping the two coordinates of each
+    # summand, generated by signed permutations as small_groups in
+    # test_flatness_routes draws them; s and -s fix planes that are not
+    # spanned by coordinate axes
+    s = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    minus = [[-1 if i == j else 0 for j in range(4)] for i in range(4)]
+    omega = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+    G = generate([s, minus], 1)
+    return catalog.symplectic_reflection(G, omega, 1).structure
 
 
 # -- independent dimension oracles -------------------------------------------
@@ -247,6 +260,59 @@ def test_dimensions_match_dense_rank_oracle(make, k):
     assert report.dim_kernel == want_ker
     assert report.dim_image == want_im
     assert report.dimension == want_ker - want_im
+
+
+# -- the complex built only through the degrees H^k reads ------------------------
+
+def _term_lists(fields):
+    return [list(f.terms.items()) for f in fields]
+
+
+@pytest.mark.parametrize("make", [
+    z2_constant_pair, lambda: r3_pair(1), lambda: r3_pair(2), sl2_order3_pair,
+    reflection_pair, signed_swap_pair,
+], ids=["z2_constant", "r3_1", "r3_2", "sl2_order3", "reflection", "signed_swap"])
+def test_degree_limited_complex_equals_the_full_one(make):
+    pair = make()
+    d = 2
+    full = TruncatedComplex(pair, d + 1)
+    for k in (0, 1, 2):
+        got = h_truncated(pair, k, d)
+        want = full.cohomology(k, d)
+        for name in ("kernel_basis", "image_basis", "representatives"):
+            assert (_term_lists(getattr(got, name))
+                    == _term_lists(getattr(want, name))), (k, name)
+
+
+def test_degree_zero_complex_checks_square_zero_directly(monkeypatch):
+    # the true differential on functions, but a vector field goes to a
+    # nonzero constant 2-field: the one map built does not square to zero,
+    # and with no basis in degree 2 only the direct check can see it
+    pair = r3_pair(2)
+    assert not all(img.is_zero() for img in TruncatedComplex(pair, 3, top=1)._images[0])
+    honest = cohom.poisson_differential
+
+    def skewed(pair, X):
+        if any(len(wedge) == 1 for _, _, wedge in X.terms):
+            return pair.total()
+        return honest(pair, X)
+
+    monkeypatch.setattr(cohom, "poisson_differential", skewed)
+    with pytest.raises(RuntimeError, match="does not square to zero"):
+        TruncatedComplex(pair, 3, top=1)
+
+
+def test_degree_limited_complex_refuses_unbuilt_degrees():
+    pair = z2_constant_pair()
+    cx = TruncatedComplex(pair, 3, top=1)
+    assert (len(cx.bases), len(cx.matrices)) == (2, 1)
+    assert cx.cohomology(0, 2).dimension == 4
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="built through degree 1"):
+            cx.cohomology(k, 2)
+    for top in (0, 4):
+        with pytest.raises(UnsupportedDegreeError):
+            TruncatedComplex(pair, 3, top=top)
 
 
 # -- guards ---------------------------------------------------------------------

@@ -27,6 +27,7 @@ from crossed_poisson.polyvec import (
     pr,
 )
 from crossed_poisson.scalars import Cyclotomic, root_of_unity
+from oracles import reference_pr
 
 MAX_ORDER = 12
 
@@ -209,3 +210,18 @@ def test_projection_commutes_with_the_group_action(data):
     X = data.draw(labelled_fields(group))
     for g in range(group.order):
         assert pr(act(g, X)) == act(g, pr(X))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_projection_matches_the_transform_filter_transform_reference(data):
+    # pr skips the transforms at the identity label and drops wedges shorter
+    # than the codimension; the terms and their order must not change
+    group = data.draw(small_groups(max_order=24, mixed=data.draw(st.booleans())))
+    X = data.draw(labelled_fields(group))
+    at_identity = data.draw(labelled_fields(group))
+    X = X + PolyVectorField(group, {(0, expo, wedge): c
+                                    for (_, expo, wedge), c in at_identity.terms.items()})
+    got, want = pr(X), reference_pr(X)
+    assert list(got.terms.items()) == list(want.terms.items())

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import trivial_group, z2_group, gamma1_group, random_pvf
-from crossed_poisson.scalars import Cyclotomic, HScalar
+from crossed_poisson.scalars import Cyclotomic, HScalar, root_of_unity
 from crossed_poisson.polyvec import InvarianceError, PolyVectorField, StructurePair
 from crossed_poisson import catalog, pbw
 from crossed_poisson.groups import generate
@@ -15,6 +15,7 @@ from crossed_poisson.pbw import (
     overlap_confluence,
     solve_b,
 )
+from oracles import flat_constant_count
 
 
 def heisenberg_pair(broken=False):
@@ -248,9 +249,66 @@ def test_solve_b_counts_flat_constant_deformations(n, signed, order):
     # the signed transpositions): 1 + 2.
     G = _permutation_group_on_doubled_space(n, signed)
     assert G.order == order
+    assert flat_constant_count(G) == 3
     res = solve_b(StructurePair(G, pi=PolyVectorField.zero(G)))
     assert res.feasible
     assert res.free_parameters == 3
+    assert check_bg(res.pair).passed
+
+
+def _monomial(M, images):
+    """images[i] = (j, k): row i holds zeta_M^k in column j and zeros elsewhere."""
+    out = [[Cyclotomic.zero(M)] * len(images) for _ in images]
+    for i, (j, k) in enumerate(images):
+        out[i][j] = root_of_unity(M, k)
+    return out
+
+
+def _with_dual(M, images):
+    """The monomial matrix acting on C^m + C^m*: itself on the first summand,
+    its inverse transpose (for a monomial unitary, its conjugate) on the
+    second."""
+    g = _monomial(M, images)
+    m = len(images)
+    out = [[Cyclotomic.zero(M)] * (2 * m) for _ in range(2 * m)]
+    for i in range(m):
+        for j in range(m):
+            out[i][j] = g[i][j]
+            out[m + i][m + j] = g[i][j].conjugate()
+    return out
+
+
+def _g_m12(m, dual=False):
+    """G(m,1,2): the swap and diag(zeta_m, 1), on C^2 or on C^2 + C^2*."""
+    make = _with_dual if dual else _monomial
+    return generate([make(m, [(1, 0), (0, 0)]), make(m, [(0, 1), (1, 0)])], m)
+
+
+@pytest.mark.parametrize("build, order, count", [
+    *[(lambda n=n: generate([_monomial(n, [(0, 1), (1, n - 1)])], n), n, n)
+      for n in (2, 3, 4, 5, 6, 8)],
+    *[(lambda m=m: _g_m12(m), 2 * m * m, c) for m, c in ((2, 1), (3, 0), (4, 0))],
+    *[(lambda m=m: _g_m12(m, dual=True), 2 * m * m, m + 1) for m in (2, 3, 4)],
+    (lambda: generate([_monomial(4, [(1, 0), (0, 0)]), _monomial(4, [(0, 1), (1, 3)]),
+                       _monomial(4, [(0, 2), (1, 0)])], 4), 16, 0),
+], ids=[f"Z{n}_in_SL2" for n in (2, 3, 4, 5, 6, 8)]
+    + [f"G({m},1,2)" for m in (2, 3, 4)]
+    + [f"G({m},1,2)_on_V+V*" for m in (2, 3, 4)] + ["G(4,2,2)"])
+def test_flat_constant_deformations_match_the_literature_count(build, order, count):
+    # With pi = 0 the free parameters of solve_b are the dimension of the
+    # flat constant b; the oracle computes the literature formula in sympy.
+    # Z/n in SL2: the invariant area form and n - 1 classes of
+    # determinant-one elements give n.  G(m,1,2) on C^2 has no invariant form
+    # and, for m = 2 only, one class of rotations by a quarter turn whose
+    # centraliser lies in SL2.  On C^2 + C^2* the pairing is invariant and
+    # the m - 1 classes of diag(zeta^k, 1) and the class of the swap are
+    # symplectic reflections.  G(4,2,2) has neither.
+    G = build()
+    assert G.order == order
+    assert flat_constant_count(G) == count
+    res = solve_b(StructurePair(G, pi=PolyVectorField.zero(G)))
+    assert res.feasible
+    assert res.free_parameters == count
     assert check_bg(res.pair).passed
 
 
