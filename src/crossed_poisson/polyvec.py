@@ -500,8 +500,9 @@ class PoissonReport:
 
 def is_poisson(pair):
     """Projected bracket vanishing: pr of both obstruction brackets is zero."""
-    r1 = pr(gen_bracket_pi_pi(pair))
-    r2 = pr(gen_bracket_b_pi(pair))
+    engine = BracketEngine(pair.pi)
+    r1 = pr(engine.bracket(pair.pi))
+    r2 = pr(engine.bracket(pair.b))
     return PoissonReport(pair.is_invariant(), r1, r2)
 
 

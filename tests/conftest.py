@@ -26,6 +26,24 @@ def gamma1_group():
     return generate([alpha, beta], M)
 
 
+def permutation_group_on_doubled_space(n, signed):
+    """S_n, or with signed=True the signed permutations B_n, acting on
+    C^n + C^n by one matrix on both summands.  These matrices are
+    orthogonal, so the second summand is the dual of the first."""
+    def doubled(images):
+        # images[i] = (j, sign): coordinate i is sent to sign * coordinate j
+        out = [[0] * (2 * n) for _ in range(2 * n)]
+        for i, (j, sign) in enumerate(images):
+            out[i][j] = out[n + i][n + j] = sign
+        return out
+
+    gens = [doubled([(1, 1), (0, 1)] + [(i, 1) for i in range(2, n)]),
+            doubled([((i + 1) % n, 1) for i in range(n)])]
+    if signed:
+        gens.append(doubled([(0, -1)] + [(i, 1) for i in range(1, n)]))
+    return generate(gens, 1)
+
+
 def random_pvf(group, rng, nterms=4, max_deg=2, wedge_deg=None):
     m, M = group.dim, group.M
     terms = {}

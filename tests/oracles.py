@@ -4,8 +4,9 @@ These are independent cross-checks and small conveniences: closed forms of
 the q-difference calculus, the antilinear reality involution, class counts
 by codimension, the literature count of flat constant deformations, the
 degree-0 cohomology comparison, dense matrix helpers, a Fraction-only model
-of cyclotomic arithmetic, a slot-by-slot evaluator of the trilinear bracket
-and the label-wise projection as a transform, a filter and a transform back.
+of cyclotomic arithmetic, a slot-by-slot evaluator of the trilinear bracket,
+the label-wise projection as a transform, a filter and a transform back, and
+the rewriting of words and critical overlaps without a memo.
 The engine does not use them, so they live beside the tests instead of in
 the package.
 """
@@ -17,6 +18,7 @@ from itertools import combinations
 from crossed_poisson.cohom import h_truncated
 from crossed_poisson.groups import GeometryError
 from crossed_poisson.linalg import add_into
+from crossed_poisson.pbw import DeformedAlgebra, _one_step
 from crossed_poisson.polyvec import (
     PolyVectorField,
     UnsupportedStructureError,
@@ -31,7 +33,7 @@ from crossed_poisson.qmoyal import (
     d_z,
     sigma_z,
 )
-from crossed_poisson.scalars import Cyclotomic, q_binomial
+from crossed_poisson.scalars import Cyclotomic, HScalar, q_binomial
 from sympy import QQ, Symbol, cyclotomic_poly
 from sympy.polys.matrices import DomainMatrix
 
@@ -419,6 +421,68 @@ def reference_pr(X):
                 if not any(key[1][s:]) and normal <= frozenset(key[2])]
         out.update(_transform_terms(keep, geo.from_adapted, lambda g: g))
     return X._like(out)
+
+
+# -- rewriting without a memo ------------------------------------------------------
+#
+# The engine's reduce_letters memoizes every word and factors a trailing group
+# letter out of the memo; the overlap probe compares the two sides before it
+# forms any difference.  These are the same computations done plainly: every
+# word reduced afresh by its leftmost redex, and a difference formed and a
+# description written at every key of every overlap.
+
+def _reduce_plainly(alg, word):
+    for k in range(len(word) - 1):
+        a, b = word[k], word[k + 1]
+        if a[0] == "g" or (b[0] == "x" and a[1] > b[1]):
+            out = {}
+            for w, c in _one_step(alg, word, k).items():
+                for key, v in _reduce_plainly(alg, w).items():
+                    add_into(out, key, v * c)
+            return out
+    expo = [0] * alg.m
+    label = 0
+    for kind, i in word:
+        if kind == "x":
+            expo[i] += 1
+        else:
+            label = i
+    return {(tuple(expo), label): HScalar.one(alg.M)}
+
+
+def reference_reduce_letters(pair, word):
+    """Normal-form expansion {(expo, label): HScalar} of a word of ('x', i) /
+    ('g', gi) letters: the leftmost redex rewritten by pbw._one_step, with no
+    memo and no relabelling shortcut."""
+    return _reduce_plainly(DeformedAlgebra(pair), tuple(word))
+
+
+def reference_overlap_confluence(pair):
+    """(failures, overlaps checked) of the three critical overlap families,
+    each side reduced plainly and each difference formed key by key."""
+    alg = DeformedAlgebra(pair)
+    m, group = alg.m, alg.group
+    zero = HScalar.zero(alg.M)
+    words = [((("x", i), ("x", j), ("x", k)), f"x{i} x{j} x{k}")
+             for i in range(m) for j in range(i) for k in range(j)]
+    words += [((("g", g), ("x", i), ("x", j)), f"{group.word_str(g)} x{i} x{j}")
+              for g in range(group.order) for i in range(m) for j in range(i)]
+    words += [((("g", g), ("g", d), ("x", i)),
+               f"{group.word_str(g)} {group.word_str(d)} x{i}")
+              for g in range(group.order) for d in range(group.order)
+              for i in range(m)]
+    failures = []
+    for word, desc in words:
+        left, right = {}, {}
+        for side, k in ((left, 0), (right, 1)):
+            for w, c in _one_step(alg, word, k).items():
+                for key, v in _reduce_plainly(alg, w).items():
+                    add_into(side, key, v * c)
+        for key in set(left) | set(right):
+            d = left.get(key, zero) - right.get(key, zero)
+            if d.parts:
+                failures.append((desc, key, d))
+    return failures, len(words)
 
 
 # -- cohomology --------------------------------------------------------------------

@@ -9,11 +9,14 @@ the catalog's flat pairs with their two parts rescaled independently, which
 moves the self-bracket of pi against the differential of b.  A third
 strategy draws pi from the exact solution space of the conditions that are
 linear in pi, bg1 and invariance, so that solve_b meets a pi it must bracket.
+The symplectic reflection algebras of S4 and B3, the largest groups here, are
+checked on fixed flat and non-flat members.
 """
 
 import functools
 from itertools import combinations
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from crossed_poisson import catalog, linalg, pbw
@@ -27,6 +30,7 @@ from crossed_poisson.polyvec import (
     pr,
 )
 from crossed_poisson.scalars import Cyclotomic, root_of_unity
+from conftest import permutation_group_on_doubled_space
 from oracles import reference_pr
 
 MAX_ORDER = 12
@@ -198,6 +202,27 @@ def test_flatness_routes_agree_on_solution_space_pairs():
 
     check()
     assert {"nonzero b", "infeasible"} <= outcomes
+
+
+@pytest.mark.parametrize("n, signed", [(4, False), (3, True)], ids=["S4", "B3"])
+def test_flatness_routes_agree_on_symplectic_reflection_pairs(n, signed):
+    # the symplectic reflection algebras of S4 (order 24, 5,336 overlaps) and
+    # B3 (order 48, 14,564 overlaps) on C^n + C^n*: a flat member, the same b
+    # rescaled, which stays flat, and b plus an invariant constant field at
+    # the codimension-4 labels, which is not flat
+    group = permutation_group_on_doubled_space(n, signed)
+    m = group.dim
+    omega = [[int(j == i + n) - int(i == j + n) for j in range(m)] for i in range(m)]
+    pair = catalog.symplectic_reflection(group, omega, 2).structure
+    codim4 = next(g for g in range(group.order) if group.codim(g) == 4)
+    extra = average(PolyVectorField.single(group, codim4, (0,) * m, (0, n), 1))
+    verdicts = []
+    for b in (pair.b, pair.b.scale(Cyclotomic.rational(group.M, -3)), pair.b + extra):
+        member = StructurePair(group, b=b, w_pi=pair.w_pi, w_b=pair.w_b)
+        passed = pbw.check_bg(member).passed
+        assert passed == pbw.overlap_confluence(member).ok
+        verdicts.append(passed)
+    assert verdicts == [True, True, False]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,

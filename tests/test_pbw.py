@@ -1,10 +1,17 @@
 import random
+from math import comb
 
 import pytest
 
-from conftest import trivial_group, z2_group, gamma1_group, random_pvf
+from conftest import (
+    gamma1_group,
+    permutation_group_on_doubled_space,
+    random_pvf,
+    trivial_group,
+    z2_group,
+)
 from crossed_poisson.scalars import Cyclotomic, HScalar, root_of_unity
-from crossed_poisson.polyvec import InvarianceError, PolyVectorField, StructurePair
+from crossed_poisson.polyvec import InvarianceError, PolyVectorField, StructurePair, average
 from crossed_poisson import catalog, pbw
 from crossed_poisson.groups import generate
 from crossed_poisson.pbw import (
@@ -15,7 +22,11 @@ from crossed_poisson.pbw import (
     overlap_confluence,
     solve_b,
 )
-from oracles import flat_constant_count
+from oracles import (
+    flat_constant_count,
+    reference_overlap_confluence,
+    reference_reduce_letters,
+)
 
 
 def heisenberg_pair(broken=False):
@@ -217,24 +228,6 @@ def test_solve_b_rejects_incompatible_weights():
         solve_b(bad)
 
 
-def _permutation_group_on_doubled_space(n, signed):
-    """S_n, or with signed=True the signed permutations B_n, acting on
-    C^n + C^n by one matrix on both summands.  These matrices are
-    orthogonal, so the second summand is the dual of the first."""
-    def doubled(images):
-        # images[i] = (j, sign): coordinate i is sent to sign * coordinate j
-        out = [[0] * (2 * n) for _ in range(2 * n)]
-        for i, (j, sign) in enumerate(images):
-            out[i][j] = out[n + i][n + j] = sign
-        return out
-
-    gens = [doubled([(1, 1), (0, 1)] + [(i, 1) for i in range(2, n)]),
-            doubled([((i + 1) % n, 1) for i in range(n)])]
-    if signed:
-        gens.append(doubled([(0, -1)] + [(i, 1) for i in range(1, n)]))
-    return generate(gens, 1)
-
-
 @pytest.mark.parametrize("n, signed, order", [
     (3, False, 6), (4, False, 24), (2, True, 8), (3, True, 48),
 ], ids=["S3", "S4", "B2", "B3"])
@@ -247,7 +240,7 @@ def test_solve_b_counts_flat_constant_deformations(n, signed, order):
     # the transpositions are one class: 2 + 1.  For B_n, h is irreducible,
     # which gives 1, and the reflections are two classes (the sign changes,
     # the signed transpositions): 1 + 2.
-    G = _permutation_group_on_doubled_space(n, signed)
+    G = permutation_group_on_doubled_space(n, signed)
     assert G.order == order
     assert flat_constant_count(G) == 3
     res = solve_b(StructurePair(G, pi=PolyVectorField.zero(G)))
@@ -344,3 +337,97 @@ def test_every_redex_position_reaches_the_normal_form(build):
         later += max(len(redexes) - 1, 0)
     assert later >= 20
     assert all(v for out in alg._memo.values() for v in out.values())
+
+
+# -- the memo and the overlap probe against plain rewriting ----------------------
+
+def _without_b(entry):
+    pair = entry.structure
+    return StructurePair(pair.group, pi=pair.pi, w_pi=pair.w_pi, w_b=pair.w_b)
+
+
+def _b_scaled(entry, t):
+    pair = entry.structure
+    return StructurePair(pair.group, pi=pair.pi,
+                         b=pair.b.scale(Cyclotomic.rational(pair.group.M, t)),
+                         w_pi=pair.w_pi, w_b=pair.w_b)
+
+
+def _random_invariant_pair(group, seed, w_pi, w_b):
+    rng = random.Random(seed)
+    pi = random_pvf(group, rng, nterms=3, max_deg=1, wedge_deg=2)
+    pi = PolyVectorField(group, {(g, e, w): c for (g, e, w), c in pi.terms.items()
+                                 if sum(e) == 1})
+    b = random_pvf(group, rng, nterms=2, max_deg=0, wedge_deg=2)
+    return StructurePair(group, pi=average(pi), b=average(b), w_pi=w_pi, w_b=w_b)
+
+
+def _non_invariant_on_gamma_n():
+    # pi at the identity only, on the non-abelian order-10 group: conjugating
+    # by a group letter moves it, so the g x_i x_j overlaps fail
+    G = catalog.gamma_n_family(2, 1).group
+    return StructurePair(G, pi=PolyVectorField.single(G, 0, (1, 0, 0, 0), (0, 1), 1))
+
+
+REFERENCE_PAIRS = [
+    (lambda: heisenberg_pair(), True),
+    (lambda: catalog.gamma_n_family(1, 1).structure, True),
+    (lambda: catalog.z2_r3_linear(2).structure, True),
+    (lambda: _without_b(catalog.gamma_n_family(1, 1)), False),
+    (lambda: _b_scaled(catalog.gamma_n_family(2, 1), 2), False),
+    (_non_invariant_on_gamma_n, False),
+    *[(lambda w=w, seed=seed: _random_invariant_pair(gamma1_group(), seed, *w), None)
+      for w in ((1, 1), (1, 3), (2, 2)) for seed in (1, 2)],
+]
+REFERENCE_IDS = (["heisenberg", "gamma_n_1", "z2_r3_linear", "gamma_n_1_without_b",
+                  "gamma_n_2_b_times_2", "non_invariant_gamma_n_2"]
+                 + [f"random_w{a}{b}_seed{s}" for a, b in ((1, 1), (1, 3), (2, 2))
+                    for s in (1, 2)])
+
+
+@pytest.mark.parametrize("build, confluent", REFERENCE_PAIRS, ids=REFERENCE_IDS)
+def test_reductions_match_the_memo_free_reference(build, confluent):
+    # one algebra, so later words meet a warm memo; every word carries a group
+    # letter in the middle and most end in one, the letter the memo factors out
+    pair = build()
+    alg = DeformedAlgebra(pair)
+    m, order = alg.m, alg.group.order
+    letters = [("x", i) for i in range(m)] + [("g", g) for g in range(order)]
+    rng = random.Random(97)
+    trailing = 0
+    for _ in range(50):
+        head = [rng.choice(letters) for _ in range(rng.randint(1, 3))]
+        head.insert(rng.randint(1, len(head)), ("g", rng.randrange(order)))
+        if rng.random() < 0.7:
+            head.append(("g", rng.randrange(order)))
+            trailing += 1
+        word = tuple(head)
+        got = alg.reduce_letters(word)
+        assert list(got.items()) == list(reference_reduce_letters(pair, word).items()), word
+    assert trailing >= 25
+    report = overlap_confluence(pair)
+    failures, checked = reference_overlap_confluence(pair)
+    assert report.failures == failures
+    assert report.overlaps_checked == checked
+    if confluent is not None:
+        assert report.ok == confluent
+    if build is _non_invariant_on_gamma_n:
+        assert any(d.split()[0][0] == "g" and d.split()[1][0] == "x"
+                   for d, _, _ in report.failures)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: heisenberg_pair().group,
+    z2_group,
+    gamma1_group,
+    lambda: catalog.gamma_n_family(2, 1).group,
+    lambda: catalog.z2_r3_linear(1).group,
+    lambda: permutation_group_on_doubled_space(3, False),
+], ids=["trivial_3", "z2", "gamma1", "gamma_n_2", "z2_r3", "S3"])
+def test_every_overlap_family_is_checked(build):
+    # C(m,3) words x_i x_j x_k, |G| C(m,2) words g x_i x_j, |G|^2 m words g d x_i
+    G = build()
+    m, n = G.dim, G.order
+    report = overlap_confluence(StructurePair(G))
+    assert report.ok
+    assert report.overlaps_checked == comb(m, 3) + n * comb(m, 2) + n * n * m
