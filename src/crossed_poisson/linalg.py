@@ -294,5 +294,16 @@ def solve(rows, rhs, ncols):
     if hit is not None:
         _, meta, inv = hit
         return None, _source_rows(meta, Cyclotomic.one(inv.M)), r
-    x = {c: row[ncols] for c, row in _reduced(span).items() if ncols in row}
+    # back-substitution, last pivot first: a stored row holds only columns
+    # past its pivot, and a free column reads as zero
+    x = {}
+    for lead in sorted(span.pivots, reverse=True):
+        row, _, inv = span.pivots[lead]
+        v = row.get(ncols)
+        for c, a in row.items():
+            if c in x:
+                t = -(a * x[c])
+                v = t if v is None else v + t
+        if v:
+            x[lead] = v * inv
     return x, None, r
