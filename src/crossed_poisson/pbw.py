@@ -554,20 +554,82 @@ def _wedge_basis_at_label(group, gi):
     return out
 
 
+def _local_columns(group, h):
+    """The independent Z(h)-sums of the basis fields at label h.
+
+    The sum over Z(h) is |Z(h)| times the average, the projector onto the
+    Z(h)-invariant part of the span; the Span keeps the sums that are
+    independent of the earlier ones, which therefore span that part.
+    """
+    mul = group.mul
+    centraliser = [z for z in range(group.order) if mul[z][h] == mul[h][z]]
+    span = linalg.Span()
+    out = []
+    for f in _wedge_basis_at_label(group, h):
+        terms = {}
+        for z in centraliser:
+            for key, c in act(z, f).terms.items():
+                linalg.add_into(terms, key, c)
+        if terms and span.insert(terms) is not None:
+            out.append(PolyVectorField(group, terms))
+    return out
+
+
+def _spread(group, cls, local):
+    """The invariant field whose component at the representative cls[0] is
+    the Z(cls[0])-invariant field local: at each member c of the class, local
+    moved by one element g with g cls[0] g^-1 = c.  Another such g differs
+    from it by an element of Z(cls[0]), which fixes local."""
+    h = cls[0]
+    reach = {}
+    for g in range(group.order):
+        reach.setdefault(group.conjugate_index(g, h), g)
+    terms = {}
+    for c in cls:
+        for key, v in act(reach[c], local).terms.items():
+            linalg.add_into(terms, key, v)
+    return PolyVectorField(group, terms)
+
+
+def _at_labels(field, labels):
+    return field._like({k: v for k, v in field.terms.items() if k[0] in labels})
+
+
 def solve_b(pair):
     """Find a constant correction b making the flatness conditions hold.
 
-    The unknown ranges over every label: the full exterior square at the
-    identity and the exterior square of the normal space elsewhere.
-    Invariance, the bg2 matching, and bg3 are assembled into one exact sparse
-    linear system.  If it is inconsistent, the certificates are the sorted
-    descriptions of the rows in the witness of linalg.solve, a combination of
-    rows whose coefficients cancel and whose right-hand sides do not.  A
-    pi that fails bg1 is rejected up front, since no constant correction can
-    repair a cocycle failure.  Any b already present on ``pair`` is ignored.
-    Requires w_b == 2 w_pi so that the bg2 sides couple.  A pi that passes
-    bg1 but is not invariant raises InvarianceError before any system is
-    built.
+    b is sought among the invariant constant fields whose component at the
+    identity lies in the full exterior square and whose component at any
+    other label g lies in the exterior square of the normal space of g (the
+    basis of _wedge_basis_at_label).  An invariant field is fixed by its
+    components at one representative h per conjugacy class, and the
+    component at h is invariant under the centraliser Z(h) (the centraliser
+    decomposition of Shepler and Witherspoon, Trans. AMS 360, 2008).  So the
+    unknowns are one column per independent Z(h)-invariant field at each
+    representative h (the local columns, _local_columns), each spread over
+    its class into an invariant field (_spread); no invariance rows are
+    needed.
+
+    With pi and b invariant, the bg2 residue [pi, pi] - 2 d(b) and the bg3
+    residue of b against pi are invariant, so each vanishes exactly when it
+    vanishes at every representative.  The system therefore holds only the
+    rows at the representatives: for bg2 the twisted differential of the
+    local column, which stays at its label, against [pi, pi] there; for bg3
+    the bracket of the spread column, read there.  It has the solutions of
+    the system over every label with invariance rows, which
+    tests/oracles.py keeps as reference_solve_b.  If it is inconsistent, the
+    certificates are the sorted descriptions of the rows in the witness of
+    linalg.solve, a combination of rows whose coefficients cancel and whose
+    right-hand sides do not; they name representatives only.  On a
+    consistent system b is the solution, with the free columns at zero,
+    times the spread columns, and free_parameters is the dimension of the
+    solution space.
+
+    A pi that fails bg1 is rejected up front, with a certificate at every
+    failing label, since no constant correction can repair a cocycle
+    failure.  Any b already present on ``pair`` is ignored.  Requires
+    w_b == 2 w_pi so that the bg2 sides couple.  A pi that passes bg1 but
+    is not invariant raises InvarianceError before any system is built.
     """
     group = pair.group
     base = StructurePair(group, pi=pair.pi, w_pi=pair.w_pi, w_b=pair.w_b,
@@ -584,8 +646,12 @@ def solve_b(pair):
     if not is_invariant(base.pi):
         raise InvarianceError("linear part pi is not group-invariant")
 
-    basis = [elt for gi in range(group.order)
-             for elt in _wedge_basis_at_label(group, gi)]
+    local, spread = [], []
+    for cls in group.conjugacy_classes():
+        for col in _local_columns(group, cls[0]):
+            local.append(col)
+            spread.append(_spread(group, cls, col))
+    reps = {cls[0] for cls in group.conjugacy_classes()}
     engine = BracketEngine(base.pi)
     two = Cyclotomic.rational(group.M, 2)
     rows, rhs, descs = [], {}, []     # sparse rows, {row: rhs}, one text per row
@@ -602,24 +668,20 @@ def solve_b(pair):
             rows.append(by_key[key])
             descs.append(describe(key))
 
-    coord_rows((koszul_differential(elt).scale(two) for elt in basis),
-               engine.bracket(base.pi),
+    coord_rows((koszul_differential(col).scale(two) for col in local),
+               _at_labels(engine.bracket(base.pi), reps),
                lambda key: f"bg2 at {group.word_str(key[0])}")
-    coord_rows((engine.bracket(elt) for elt in basis), None,
+    coord_rows((_at_labels(engine.bracket(col), reps) for col in spread), None,
                lambda key: f"bg3 at {group.word_str(key[0])}")
-    for g in group.gen_indices:
-        coord_rows((act(g, elt) - elt for elt in basis), None,
-                   lambda key, g=g: f"invariance under {group.word_str(g)} "
-                                    f"at {group.word_str(key[0])}")
 
-    sol, witness, rank = linalg.solve(rows, rhs, len(basis))
+    sol, witness, rank = linalg.solve(rows, rhs, len(spread))
     if sol is None:
         certs = sorted({descs[i] for i in witness})
         return SolveBResult(False, None, 0, certs)
-    free = len(basis) - rank
+    free = len(spread) - rank
     b = PolyVectorField.zero(group)
     for col in sorted(sol):
-        b = b + basis[col].scale(sol[col])
+        b = b + spread[col].scale(sol[col])
     solved = StructurePair(group, pi=base.pi, b=b, w_pi=base.w_pi,
                            w_b=base.w_b, reality_swap=base.reality_swap)
     return SolveBResult(True, solved, free, [])

@@ -172,8 +172,9 @@ class LinearSubstitution:
     monomial(expo) is the image of x^expo, built as monomial(expo - e_i)
     times the linear form of x_i for the last variable i that expo uses, and
     wedge(w) maps each sorted wedge T to the minor of wedge_mat on rows T and
-    columns w.  The returned dictionaries are shared between callers and must
-    not be mutated.
+    columns w, skipping the row sets T that hold a row zero on w.  The
+    returned dictionaries are shared between callers and must not be
+    mutated.
     """
 
     __slots__ = ("M", "lin", "wedge_mat", "_monomials", "_wedges")
@@ -200,8 +201,12 @@ class LinearSubstitution:
         imgs = self._wedges.get(w)
         if imgs is None:
             imgs = self._wedges[w] = {}
-            for T in combinations(range(len(self.wedge_mat)), len(w)):
-                d = _det([[self.wedge_mat[t][s] for s in w] for t in T], self.M)
+            mat = self.wedge_mat
+            # a minor with a zero row vanishes, so T is drawn from the rows
+            # with an entry in some column of w, in the order of all row sets
+            live = [t for t, row in enumerate(mat) if any(row[s] for s in w)]
+            for T in combinations(live, len(w)):
+                d = _det([[mat[t][s] for s in w] for t in T], self.M)
                 if d:
                     imgs[T] = d
         return imgs

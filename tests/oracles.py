@@ -5,8 +5,9 @@ the q-difference calculus, the antilinear reality involution, class counts
 by codimension, the literature count of flat constant deformations, the
 degree-0 cohomology comparison, dense matrix helpers, a Fraction-only model
 of cyclotomic arithmetic, a slot-by-slot evaluator of the trilinear bracket,
-the label-wise projection as a transform, a filter and a transform back, and
-the rewriting of words and critical overlaps without a memo.
+the label-wise projection as a transform, a filter and a transform back,
+the rewriting of words and critical overlaps without a memo, and the
+constant-correction system over every group element.
 The engine does not use them, so they live beside the tests instead of in
 the package.
 """
@@ -17,12 +18,24 @@ from itertools import combinations
 
 from crossed_poisson.cohom import h_truncated
 from crossed_poisson.groups import GeometryError
-from crossed_poisson.linalg import add_into
-from crossed_poisson.pbw import DeformedAlgebra, _one_step
+from crossed_poisson.linalg import add_into, solve
+from crossed_poisson.pbw import (
+    DeformedAlgebra,
+    SolveBResult,
+    _one_step,
+    _wedge_basis_at_label,
+    solve_b,
+)
 from crossed_poisson.polyvec import (
+    BracketEngine,
+    InvarianceError,
     PolyVectorField,
+    StructurePair,
     UnsupportedStructureError,
     _transform_terms,
+    act,
+    is_invariant,
+    koszul_differential,
     wedge_sort,
 )
 from crossed_poisson.qmoyal import (
@@ -483,6 +496,89 @@ def reference_overlap_confluence(pair):
             if d.parts:
                 failures.append((desc, key, d))
     return failures, len(words)
+
+
+# -- solving for b per element -----------------------------------------------------
+#
+# The engine's solve_b puts its unknowns at one representative per conjugacy
+# class and reads the residues there.  This is the system over every label:
+# unknowns at each label, bg2 and bg3 rows at each label, and one invariance
+# row per term of act(g, u) - u for each generator g.
+
+def reference_solve_b(pair):
+    """solve_b over every label with invariance rows, as a SolveBResult.  The
+    weight check, the bg1 certificates and the invariance check are
+    solve_b's."""
+    group = pair.group
+    pi = pair.pi
+    if pair.w_b != 2 * pair.w_pi:
+        raise ValueError("reference_solve_b needs w_b == 2*w_pi")
+    bg1_bad = sorted(koszul_differential(pi).labels())
+    if bg1_bad:
+        return SolveBResult(False, None, 0, [
+            f"bg1 at {group.word_str(g)}: pi is not a twisted cocycle, "
+            "no constant correction can repair this" for g in bg1_bad])
+    if not is_invariant(pi):
+        raise InvarianceError("linear part pi is not group-invariant")
+    basis = [elt for gi in range(group.order)
+             for elt in _wedge_basis_at_label(group, gi)]
+    engine = BracketEngine(pi)
+    two = Cyclotomic.rational(group.M, 2)
+    rows, rhs, descs = [], {}, []
+
+    def coord_rows(fields, rhs_field, describe):
+        by_key = {key: {} for key in rhs_field.terms} if rhs_field else {}
+        for col, f in enumerate(fields):
+            for key, v in f.terms.items():
+                by_key.setdefault(key, {})[col] = v
+        for key in sorted(by_key, key=lambda t: (t[0], t[2], t[1])):
+            if rhs_field and key in rhs_field.terms:
+                rhs[len(rows)] = rhs_field.terms[key]
+            rows.append(by_key[key])
+            descs.append(describe(key))
+
+    coord_rows((koszul_differential(elt).scale(two) for elt in basis),
+               engine.bracket(pi),
+               lambda key: f"bg2 at {group.word_str(key[0])}")
+    coord_rows((engine.bracket(elt) for elt in basis), None,
+               lambda key: f"bg3 at {group.word_str(key[0])}")
+    for g in group.gen_indices:
+        coord_rows((act(g, elt) - elt for elt in basis), None,
+                   lambda key, g=g: f"invariance under {group.word_str(g)} "
+                                    f"at {group.word_str(key[0])}")
+
+    sol, witness, rank = solve(rows, rhs, len(basis))
+    if sol is None:
+        return SolveBResult(False, None, 0, sorted({descs[i] for i in witness}))
+    b = PolyVectorField.zero(group)
+    for col in sorted(sol):
+        b = b + basis[col].scale(sol[col])
+    solved = StructurePair(group, pi=pi, b=b, w_pi=pair.w_pi, w_b=pair.w_b,
+                           reality_swap=pair.reality_swap)
+    return SolveBResult(True, solved, len(basis) - rank, [])
+
+
+def solve_b_against_reference(pair):
+    """Assert that solve_b and reference_solve_b agree on feasibility, free
+    parameters and the solved b, and that solve_b certifies an infeasible
+    system (past bg1) by bg2 and bg3 rows at class representatives only;
+    return solve_b's result."""
+    got, want = solve_b(pair), reference_solve_b(pair)
+    assert got.feasible == want.feasible
+    assert got.free_parameters == want.free_parameters
+    if got.feasible:
+        assert got.pair.b == want.pair.b
+    elif any(c.startswith("bg1") for c in want.certificates):
+        assert got.certificates == want.certificates
+    else:
+        group = pair.group
+        reps = {cls[0] for cls in group.conjugacy_classes()}
+        assert got.certificates
+        for cert in got.certificates:
+            kind, at, word = cert.split(" ")
+            assert kind in ("bg2", "bg3") and at == "at"
+            assert group.element_from_word(word) in reps
+    return got
 
 
 # -- cohomology --------------------------------------------------------------------

@@ -9,6 +9,9 @@ the catalog's flat pairs with their two parts rescaled independently, which
 moves the self-bracket of pi against the differential of b.  A third
 strategy draws pi from the exact solution space of the conditions that are
 linear in pi, bg1 and invariance, so that solve_b meets a pi it must bracket.
+On the invariant and solution-space pairs, solve_b, which works at one
+representative per conjugacy class, is compared with reference_solve_b, its
+system over every group element.
 The symplectic reflection algebras of S4 and B3, the largest groups here, are
 checked on fixed flat and non-flat members.
 """
@@ -31,7 +34,7 @@ from crossed_poisson.polyvec import (
 )
 from crossed_poisson.scalars import Cyclotomic, root_of_unity
 from conftest import permutation_group_on_doubled_space
-from oracles import reference_pr
+from oracles import reference_pr, solve_b_against_reference
 
 MAX_ORDER = 12
 
@@ -202,6 +205,29 @@ def test_flatness_routes_agree_on_solution_space_pairs():
 
     check()
     assert {"nonzero b", "infeasible"} <= outcomes
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(invariant_pairs())
+def test_solve_b_matches_the_per_element_reference_on_invariant_pairs(pair):
+    solve_b_against_reference(StructurePair(pair.group, pi=pair.pi, w_pi=pair.w_pi,
+                                            w_b=2 * pair.w_pi))
+
+
+def test_solve_b_matches_the_per_element_reference_on_solution_space_pairs():
+    # pi from the solution space of bg1 and invariance, so every draw reaches
+    # the system; on gamma_n both outcomes occur
+    outcomes = set()
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(solution_space_pairs())
+    def check(pair):
+        outcomes.add(solve_b_against_reference(pair).feasible)
+
+    check()
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("n, signed", [(4, False), (3, True)], ids=["S4", "B3"])

@@ -10,9 +10,16 @@ from conftest import (
     trivial_group,
     z2_group,
 )
-from crossed_poisson.scalars import Cyclotomic, HScalar, root_of_unity
-from crossed_poisson.polyvec import InvarianceError, PolyVectorField, StructurePair, average
-from crossed_poisson import catalog, pbw
+from crossed_poisson.scalars import Q, Cyclotomic, HScalar, root_of_unity
+from crossed_poisson.polyvec import (
+    InvarianceError,
+    PolyVectorField,
+    StructurePair,
+    act,
+    average,
+    is_invariant,
+)
+from crossed_poisson import catalog, linalg, pbw
 from crossed_poisson.groups import MatrixGroup, generate
 from crossed_poisson.pbw import (
     DeformedAlgebra,
@@ -23,9 +30,11 @@ from crossed_poisson.pbw import (
     solve_b,
 )
 from oracles import (
+    centralizer,
     flat_constant_count,
     reference_overlap_confluence,
     reference_reduce_letters,
+    solve_b_against_reference,
 )
 
 
@@ -230,7 +239,8 @@ def test_solve_b_rejects_incompatible_weights():
 
 @pytest.mark.parametrize("n, signed, order", [
     (3, False, 6), (4, False, 24), (2, True, 8), (3, True, 48),
-], ids=["S3", "S4", "B2", "B3"])
+    (5, False, 120), (4, True, 384),
+], ids=["S3", "S4", "B2", "B3", "S5", "B4"])
 def test_solve_b_counts_flat_constant_deformations(n, signed, order):
     # With pi = 0 the free parameters are the dimension of the flat constant
     # b on V = h + h*: dim (wedge^2 V)^G plus the number of conjugacy classes
@@ -239,7 +249,8 @@ def test_solve_b_counts_flat_constant_deformations(n, signed, order):
     # hold no invariant here.  For S_n, h = trivial + standard gives 2, and
     # the transpositions are one class: 2 + 1.  For B_n, h is irreducible,
     # which gives 1, and the reflections are two classes (the sign changes,
-    # the signed transpositions): 1 + 2.
+    # the signed transpositions): 1 + 2.  S5 and B4 (orders 120 and 384)
+    # keep solve_b's per-class system at |G| in the hundreds.
     G = permutation_group_on_doubled_space(n, signed)
     assert G.order == order
     assert flat_constant_count(G) == 3
@@ -289,7 +300,8 @@ def _g_m12(m, dual=False):
     + [f"G({m},1,2)_on_V+V*" for m in (2, 3, 4)] + ["G(4,2,2)"])
 def test_flat_constant_deformations_match_the_literature_count(build, order, count):
     # With pi = 0 the free parameters of solve_b are the dimension of the
-    # flat constant b; the oracle computes the literature formula in sympy.
+    # flat constant b; the oracle computes the literature formula in sympy,
+    # and solve_b must agree with its per-element reference.
     # Z/n in SL2: the invariant area form and n - 1 classes of
     # determinant-one elements give n.  G(m,1,2) on C^2 has no invariant form
     # and, for m = 2 only, one class of rotations by a quarter turn whose
@@ -299,10 +311,79 @@ def test_flat_constant_deformations_match_the_literature_count(build, order, cou
     G = build()
     assert G.order == order
     assert flat_constant_count(G) == count
-    res = solve_b(StructurePair(G, pi=PolyVectorField.zero(G)))
+    res = solve_b_against_reference(StructurePair(G, pi=PolyVectorField.zero(G)))
     assert res.feasible
     assert res.free_parameters == count
     assert check_bg(res.pair).passed
+
+
+# -- the per-class system against the per-element reference ---------------------
+
+def _gamma_n_without_b(n, c0, a=None):
+    return _without_b(catalog.gamma_n_family(n, c0, a=a))
+
+
+@pytest.mark.parametrize("n, c0, a", [
+    *[(1, c0, a) for c0 in (1, -2, Q(1, 2), Q(-2, 3)) for a in (None, 1, Q(-3, 2))],
+    *[(2, c0, None) for c0 in (1, -2, Q(1, 2), Q(-2, 3))],
+])
+def test_solve_b_matches_the_per_element_reference_on_gamma_n(n, c0, a):
+    # with the linear identity part a, [pi, pi] is nonzero at e, where the
+    # twisted differential of a constant field vanishes
+    res = solve_b_against_reference(_gamma_n_without_b(n, c0, a))
+    assert res.feasible == (a is None)
+
+
+@pytest.mark.parametrize("n, signed", [(3, False), (4, False), (2, True), (3, True)],
+                         ids=["S3", "S4", "B2", "B3"])
+def test_solve_b_with_zero_pi_matches_the_per_element_reference(n, signed):
+    # the literature-count groups are compared in their own test
+    G = permutation_group_on_doubled_space(n, signed)
+    assert solve_b_against_reference(StructurePair(G, pi=PolyVectorField.zero(G))).feasible
+
+
+@pytest.mark.parametrize("build", [
+    gamma1_group,
+    lambda: permutation_group_on_doubled_space(4, False),
+    lambda: permutation_group_on_doubled_space(3, True),
+], ids=["gamma_1", "S4", "B3"])
+def test_local_and_spread_columns(build):
+    # local columns: Z(h)-invariant, at the representative h only, and
+    # independent; spread columns: invariant, equal to the local column at h
+    G = build()
+    for cls in G.conjugacy_classes():
+        h = cls[0]
+        local = pbw._local_columns(G, h)
+        span = linalg.Span()
+        for col in local:
+            assert col.labels() == [h]
+            assert all(act(z, col) == col for z in centralizer(G, h))
+            assert span.insert(col.terms) is not None
+            spread = pbw._spread(G, cls, col)
+            assert is_invariant(spread)
+            assert spread.labels() == list(cls)
+            assert spread.restrict_label(h) == col
+
+
+@pytest.mark.parametrize("build, shape", [
+    (lambda: _gamma_n_without_b(1, 1), (12, 6)),
+    (lambda: StructurePair(permutation_group_on_doubled_space(4, False)), (410, 13)),
+    (lambda: StructurePair(permutation_group_on_doubled_space(3, True)), (270, 25)),
+], ids=["gamma_1", "S4", "B3"])
+def test_solve_b_system_has_rows_and_columns_at_representatives_only(monkeypatch, build, shape):
+    # rows: the term keys of the bg2 and bg3 residues at the representatives;
+    # columns: the dimension of the invariant constant fields.  Neither count
+    # depends on the basis chosen.
+    shapes = []
+    solve = linalg.solve
+
+    def spy(rows, rhs, ncols):
+        shapes.append((len(rows), ncols))
+        return solve(rows, rhs, ncols)
+
+    monkeypatch.setattr(pbw.linalg, "solve", spy)
+    assert solve_b(build()).feasible
+    assert shapes == [shape]
 
 
 # -- one rule function for both rewriting paths ----------------------------------

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -460,3 +460,47 @@ def test_cancelling_products_store_no_zero():
     assert sub.wedge((0, 1)) == {(0, 1): one}
     for img in (prod, sub.monomial((2, 1)), sub.monomial((1, 2)), sub.wedge((0,))):
         assert all(v for v in img.values())
+
+
+def _leibniz_minor(mat, rows, cols, M):
+    total = Cyclotomic.zero(M)
+    for perm in permutations(range(len(rows))):
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(len(perm)), 2))
+        term = Cyclotomic.one(M)
+        for r, c in zip(rows, perm):
+            term = term * mat[r][cols[c]]
+        total = total + term if inversions % 2 == 0 else total - term
+    return total
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "monomial", "zero_column"])
+def test_wedge_minors_skip_zero_rows_and_keep_the_order_of_all_row_sets(kind):
+    # wedge draws its row sets T only from the rows with an entry in a column
+    # of w; the images must equal the minors over every T, in the same order
+    M, n = 4, 5
+    rng = random.Random(kind)
+
+    def entry(density):
+        if rng.random() >= density:
+            return Cyclotomic.zero(M)
+        return Cyclotomic.rational(M, rng.choice((1, -1, 2, 3))) * root_of_unity(M, rng.randrange(M))
+
+    if kind == "monomial":
+        perm = rng.sample(range(n), n)
+        mat = [[root_of_unity(M, rng.randrange(M)) if j == perm[i] else Cyclotomic.zero(M)
+                for j in range(n)] for i in range(n)]
+    else:
+        density = 1.0 if kind == "dense" else 0.3
+        mat = [[entry(density) for _ in range(n)] for _ in range(n)]
+        if kind == "zero_column":
+            for row in mat:
+                row[2] = Cyclotomic.zero(M)
+    sub = LinearSubstitution(mat, mat)
+    for k in range(n + 1):
+        for w in combinations(range(n), k):
+            want = {}
+            for T in combinations(range(n), k):
+                d = _leibniz_minor(mat, T, w, M)
+                if d:
+                    want[T] = d
+            assert list(sub.wedge(w).items()) == list(want.items())
