@@ -7,6 +7,7 @@ guaranteed invariant.
 """
 
 from functools import lru_cache
+from itertools import combinations
 from math import lcm
 
 from . import groups, linalg
@@ -148,29 +149,20 @@ def _form_pairing(Omega, u, v):
 
 def _inverse_bivector(group, Omega, label, vectors):
     """The 2-field at `label` inverting the form restricted to `vectors`."""
-    M = group.M
-    m = group.dim
     r = len(vectors)
     W = [[_form_pairing(Omega, vectors[p], vectors[q]) for q in range(r)]
          for p in range(r)]
     try:
-        P = linalg.mat_inv(W, M)
+        P = linalg.mat_inv(W, group.M)
     except ValueError:
         raise CatalogError(
             "form restricted to the moved subspace is degenerate") from None
-    expo = tuple([0] * m)
-    terms = {}
-    for p in range(r):
-        for q in range(p + 1, r):
-            if not P[p][q]:
-                continue
-            for i in range(m):
-                for j in range(i + 1, m):
-                    a = vectors[p][i] * vectors[q][j] - vectors[p][j] * vectors[q][i]
-                    if not a:
-                        continue
-                    linalg.add_into(terms, (label, expo, (i, j)), P[p][q] * a)
-    return PolyVectorField(group, terms)
+    out = PolyVectorField.zero(group)
+    for p, q in combinations(range(r), 2):
+        if P[p][q]:
+            out = out + PolyVectorField.wedge2(
+                group, label, vectors[p], vectors[q]).scale(P[p][q])
+    return out
 
 
 def symplectic_reflection(group, omega, c):
@@ -202,9 +194,7 @@ def symplectic_reflection(group, omega, c):
             raise FormNotPreservedError(
                 f"generator {group.word_str(g)} does not preserve the form")
     constants = _class_constants(group, c)
-    basis = [tuple(Cyclotomic.one(M) if i == k else Cyclotomic.zero(M)
-                   for i in range(m)) for k in range(m)]
-    b = _inverse_bivector(group, Omega, 0, basis)
+    b = _inverse_bivector(group, Omega, 0, group.matrix(0))
     for gi, val in sorted(constants.items()):
         if not val:
             continue

@@ -275,6 +275,16 @@ class _StarDomain(_Domain):
         return hs.coeff(0)
 
 
+class _RationalDomain(_CyclotomicDomain):
+    """Rationals as Q(zeta_1), refusing every symbol: z would read as 1."""
+
+    def __init__(self):
+        super().__init__(1)
+
+    def name(self, sym, text, pos):
+        raise LiteralError(text, pos, f"unknown symbol {sym!r} (parameters are rational)")
+
+
 def parse_scalar(text, M):
     return _Parser(text, _CyclotomicDomain(M)).parse()
 
@@ -575,7 +585,8 @@ def _text_verify_poisson(data):
 
 
 def cmd_check_bg(args):
-    outcome = pbw.check_bg(_load_pair(args), zero_b=args.zero_b)
+    pair = _load_pair(args)
+    outcome = pbw.check_bg(pair.with_b(None) if args.zero_b else pair)
     return (0 if outcome.passed else 1), {**_bg_data(outcome),
                                           "passed": outcome.passed}
 
@@ -800,7 +811,7 @@ def _scalar_param(raw, flag, default):
     # parameters are plain rationals; parse them over the trivial field
     # (catalog constructors promote to whatever conductor they need)
     try:
-        return parse_scalar(raw, 1)
+        return _Parser(raw, _RationalDomain()).parse()
     except LiteralError as e:
         raise InputError(f"{flag}: {e}")
 
@@ -881,9 +892,9 @@ def build_parser():
     p.add_argument("name", help="z2_constant, z2_r3_linear, gamma_n, "
                                 "or cyclic_qmoyal")
     p.add_argument("--n", type=int, help="family parameter n")
-    p.add_argument("--c0", help="leading class constant (scalar literal)")
-    p.add_argument("--a", help="linear-part coefficient (scalar literal)")
-    p.add_argument("--c", help="constant weight (scalar literal)")
+    p.add_argument("--c0", help="leading class constant (rational literal)")
+    p.add_argument("--a", help="linear-part coefficient (rational literal)")
+    p.add_argument("--c", help="constant weight (rational literal)")
     p.add_argument("--variant", type=int, help="variant selector")
 
     return parser

@@ -106,7 +106,10 @@ class TruncatedComplex:
         m = group.dim
         fields, degs = [], []
         span = Span()
-        for gi in range(group.order):
+        # seeds at the class representatives span every average: a seed at
+        # another member averages to a combination of the averages of seeds
+        # of its degrees at the representative, its class's smallest label
+        for gi in (cls[0] for cls in group.conjugacy_classes()):
             # a wedge shorter than the codimension holds no full normal
             # wedge, so pr kills every seed at this label
             if group.geometry(gi).codim > j:
@@ -177,7 +180,7 @@ class TruncatedComplex:
             if self.degrees[k][idx] > d:
                 continue
             col = {("img", r): c for r, c in mat[idx].items()}
-            col[("src", idx)] = _one(self.group)
+            col[("src", idx)] = Cyclotomic.one(self.group.M)
             span.insert(col)
         for residue in span.rows():
             if any(tag == "img" for tag, _ in residue):
@@ -210,10 +213,6 @@ class TruncatedComplex:
             image_basis=image_fields,
             representatives=representatives,
         )
-
-
-def _one(group):
-    return Cyclotomic.one(group.M)
 
 
 def _label_dims(fields):

@@ -38,11 +38,10 @@ def _conj_transpose(A):
 
 
 class ElementGeometry:
-    __slots__ = ("index", "codim", "fixed", "normal", "basis", "basis_inv",
+    __slots__ = ("codim", "fixed", "normal", "basis", "basis_inv",
                  "to_adapted", "from_adapted")
 
-    def __init__(self, index, codim, fixed, normal, basis, basis_inv):
-        self.index = index
+    def __init__(self, codim, fixed, normal, basis, basis_inv):
         self.codim = codim
         self.fixed = fixed          # list of coordinate vectors spanning V^gamma
         self.normal = normal        # list spanning N^gamma
@@ -227,7 +226,7 @@ class MatrixGroup:
         except ValueError as exc:
             raise GeometryError(
                 f"adapted basis singular for element {self.word_str(i)}") from exc
-        geo = ElementGeometry(i, m - len(fixed), fixed, normal, basis, basis_inv)
+        geo = ElementGeometry(m - len(fixed), fixed, normal, basis, basis_inv)
         self._geometry[i] = geo
         return geo
 

@@ -222,18 +222,22 @@ def _source_rows(meta, one):
     return y
 
 
-def _reduced(span):
-    """The reduced echelon rows {pivot: row}: 1 at the pivot, 0 at the others."""
-    out = {}
+def _back_substitute(span, x, rhs):
+    """Fill x, which holds the free columns' values (absent ones read as
+    zero), with the pivot values solving the stored rows against the column
+    rhs (None: homogeneous), last pivot first, as a stored row holds only
+    columns past its pivot.  That unique solution is the one the reduced
+    row echelon form gives."""
     for lead in sorted(span.pivots, reverse=True):
         row, _, inv = span.pivots[lead]
-        row = {key: v * inv for key, v in row.items()}
-        for c in [c for c in row if c != lead and c in out]:
-            neg = -row[c]
-            for key, v in out[c].items():
-                add_into(row, key, v * neg)
-        out[lead] = row
-    return out
+        v = row.get(rhs)
+        for c, a in row.items():
+            if c in x:
+                t = -(a * x[c])
+                v = t if v is None else v + t
+        if v:
+            x[lead] = v * inv
+    return x
 
 
 def rank(A):
@@ -250,8 +254,9 @@ def mat_inv(A, M):
     span, r = _echelon(aug, n)
     if r != n:
         raise ValueError("singular matrix")
-    R = _reduced(span)
-    return [[R[i].get(n + j, zero) for j in range(n)] for i in range(n)]
+    # column j of the inverse solves A x = e_j, the identity block's column
+    cols = [_back_substitute(span, {}, n + j) for j in range(n)]
+    return [[cols[j].get(i, zero) for j in range(n)] for i in range(n)]
 
 
 def kernel_basis(A, ncols, M):
@@ -259,20 +264,13 @@ def kernel_basis(A, ncols, M):
 
     One vector per free column f, with 1 at f and 0 at the other free columns.
     """
-    zero = Cyclotomic.zero(M)
-    one = Cyclotomic.one(M)
-    R = _reduced(_echelon([_sparse(r) for r in A], ncols)[0]) if A else {}
+    zero, one = Cyclotomic.zero(M), Cyclotomic.one(M)
+    span = _echelon([_sparse(r) for r in A], ncols)[0] if A else Span()
     basis = []
     for f in range(ncols):
-        if f in R:
-            continue
-        v = [zero] * ncols
-        v[f] = one
-        for c, row in R.items():
-            a = row.get(f)
-            if a:
-                v[c] = -a
-        basis.append(v)
+        if f not in span.pivots:
+            x = _back_substitute(span, {f: one}, None)
+            basis.append([x.get(c, zero) for c in range(ncols)])
     return basis
 
 
@@ -294,16 +292,4 @@ def solve(rows, rhs, ncols):
     if hit is not None:
         _, meta, inv = hit
         return None, _source_rows(meta, Cyclotomic.one(inv.M)), r
-    # back-substitution, last pivot first: a stored row holds only columns
-    # past its pivot, and a free column reads as zero
-    x = {}
-    for lead in sorted(span.pivots, reverse=True):
-        row, _, inv = span.pivots[lead]
-        v = row.get(ncols)
-        for c, a in row.items():
-            if c in x:
-                t = -(a * x[c])
-                v = t if v is None else v + t
-        if v:
-            x[lead] = v * inv
-    return x, None, r
+    return _back_substitute(span, {}, ncols), None, r

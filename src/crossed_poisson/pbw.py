@@ -18,6 +18,9 @@ bracket-side conditions.  The two routes are independent implementations and
 are tested against each other.
 """
 
+from itertools import combinations
+from math import comb
+
 from .scalars import Cyclotomic, HScalar
 from . import linalg
 from .linalg import Terms
@@ -25,10 +28,9 @@ from .polyvec import (
     BracketEngine,
     InvarianceError,
     PolyVectorField,
-    StructurePair,
-    act,
     is_invariant,
     koszul_differential,
+    orbit_sum,
 )
 
 __all__ = [
@@ -45,15 +47,6 @@ __all__ = [
 ]
 
 
-def _binomial(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for t in range(k):
-        out = out * (n - t) // (t + 1)
-    return out
-
-
 def graded_dimension(group, max_degree):
     """Dimension of the span of normal monomials of x-degree <= max_degree.
 
@@ -63,7 +56,7 @@ def graded_dimension(group, max_degree):
     ``overlap_confluence`` and ``check_bg`` decide.
     """
     m = group.dim
-    return group.order * sum(_binomial(m + k - 1, k) for k in range(max_degree + 1))
+    return group.order * sum(comb(m + k - 1, k) for k in range(max_degree + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +273,7 @@ def _residues_by_label(field, weight):
     return {(gi, weight): field.restrict_label(gi) for gi in field.labels()}
 
 
-def check_bg(pair, zero_b=False):
+def check_bg(pair):
     """Check the bracket-side flatness conditions of a structure pair.
 
     bg1: each component of pi is a cocycle for its own twisted differential.
@@ -292,9 +285,6 @@ def check_bg(pair, zero_b=False):
 
     The pair must be invariant; InvarianceError otherwise.
     """
-    if zero_b:
-        pair = StructurePair(pair.group, pi=pair.pi, w_pi=pair.w_pi,
-                             w_b=pair.w_b, reality_swap=pair.reality_swap)
     if not pair.is_invariant():
         raise InvarianceError("structure pair is not group-invariant")
     bg1 = _residues_by_label(koszul_differential(pair.pi), pair.w_pi)
@@ -501,7 +491,7 @@ def overlap_confluence(pair):
                 probe(word)
     failures = [f for word in sorted(found, key=lambda w: (_family(w), w))
                 for f in found[word]]
-    checked = _binomial(m, 3) + n * _binomial(m, 2) + n * n * m
+    checked = comb(m, 3) + n * comb(m, 2) + n * n * m
     return ConfluenceReport(failures, checked, probed)
 
 
@@ -533,25 +523,10 @@ def _wedge_basis_at_label(group, gi):
     are the orthogonal complement of the fixed space under the averaged
     hermitian form).
     """
-    M = group.M
-    m = group.dim
-    if gi == 0:
-        vectors = [[Cyclotomic.one(M) if i == j else Cyclotomic.zero(M)
-                    for i in range(m)] for j in range(m)]
-    else:
-        vectors = group.geometry(gi).normal
-    out = []
-    for p in range(len(vectors)):
-        for q in range(p + 1, len(vectors)):
-            terms = {}
-            for a in range(m):
-                for b in range(a + 1, m):
-                    c = vectors[p][a] * vectors[q][b] - vectors[p][b] * vectors[q][a]
-                    if not c.is_zero():
-                        terms[(gi, (0,) * m, (a, b))] = c
-            if terms:
-                out.append(PolyVectorField(group, terms))
-    return out
+    vectors = group.matrix(0) if gi == 0 else group.geometry(gi).normal
+    fields = (PolyVectorField.wedge2(group, gi, u, v)
+              for u, v in combinations(vectors, 2))
+    return [f for f in fields if f]
 
 
 def _local_columns(group, h):
@@ -566,10 +541,7 @@ def _local_columns(group, h):
     span = linalg.Span()
     out = []
     for f in _wedge_basis_at_label(group, h):
-        terms = {}
-        for z in centraliser:
-            for key, c in act(z, f).terms.items():
-                linalg.add_into(terms, key, c)
+        terms = orbit_sum(f, centraliser)
         if terms and span.insert(terms) is not None:
             out.append(PolyVectorField(group, terms))
     return out
@@ -584,11 +556,7 @@ def _spread(group, cls, local):
     reach = {}
     for g in range(group.order):
         reach.setdefault(group.conjugate_index(g, h), g)
-    terms = {}
-    for c in cls:
-        for key, v in act(reach[c], local).terms.items():
-            linalg.add_into(terms, key, v)
-    return PolyVectorField(group, terms)
+    return PolyVectorField(group, orbit_sum(local, (reach[c] for c in cls)))
 
 
 def _at_labels(field, labels):
@@ -632,8 +600,7 @@ def solve_b(pair):
     is not invariant raises InvarianceError before any system is built.
     """
     group = pair.group
-    base = StructurePair(group, pi=pair.pi, w_pi=pair.w_pi, w_b=pair.w_b,
-                         reality_swap=pair.reality_swap)
+    base = pair.with_b(None)
     if pair.w_b != 2 * pair.w_pi:
         raise ValueError("solve_b needs w_b == 2*w_pi; otherwise the "
                          "self-bracket of pi cannot be matched by b")
@@ -682,6 +649,4 @@ def solve_b(pair):
     b = PolyVectorField.zero(group)
     for col in sorted(sol):
         b = b + spread[col].scale(sol[col])
-    solved = StructurePair(group, pi=base.pi, b=b, w_pi=base.w_pi,
-                           w_b=base.w_b, reality_swap=base.reality_swap)
-    return SolveBResult(True, solved, free, [])
+    return SolveBResult(True, base.with_b(b), free, [])

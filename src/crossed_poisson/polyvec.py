@@ -117,6 +117,14 @@ class PolyVectorField(Terms):
         coeff = Cyclotomic.of(group.M, coeff)
         return cls(group, {(label, tuple(expo), w): coeff if sign == 1 else -coeff})
 
+    @classmethod
+    def wedge2(cls, group, label, u, v):
+        """The constant 2-field u ^ v at label, for coordinate vectors u and v:
+        its coefficient at e_a ^ e_b is the minor u_a v_b - u_b v_a."""
+        expo = _zero_expo(group.dim)
+        return cls(group, {(label, expo, (a, b)): u[a] * v[b] - u[b] * v[a]
+                           for a, b in combinations(range(group.dim), 2)})
+
     def _coeff(self, c):
         return Cyclotomic.of(self.group.M, c)
 
@@ -236,13 +244,19 @@ def is_invariant(X):
     return all(act(g, X) == X for g in X.group.gen_indices)
 
 
+def orbit_sum(X, elements):
+    """The terms of the sum of act(g, X) over the given element indices."""
+    terms = {}
+    for g in elements:
+        for key, c in act(g, X).terms.items():
+            add_into(terms, key, c)
+    return terms
+
+
 def average(X):
     """Group-averaging projector onto invariant fields."""
-    group = X.group
-    total = PolyVectorField.zero(group)
-    for g in range(group.order):
-        total = total + act(g, X)
-    return total.scale(Cyclotomic.rational(group.M, Q(1, group.order)))
+    n = X.group.order
+    return X._like(orbit_sum(X, range(n))).scale(Cyclotomic.rational(X.group.M, Q(1, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +374,11 @@ class StructurePair:
         self.w_pi = w_pi
         self.w_b = w_b
         self.reality_swap = tuple(reality_swap) if reality_swap is not None else None
+
+    def with_b(self, b):
+        """This pair with the constant part b (None for none)."""
+        return StructurePair(self.group, pi=self.pi, b=b, w_pi=self.w_pi,
+                             w_b=self.w_b, reality_swap=self.reality_swap)
 
     def total(self):
         return self.pi + self.b

@@ -15,7 +15,8 @@ from functools import lru_cache
 from math import lcm
 
 from .linalg import Terms, add_into
-from .scalars import Cyclotomic, HScalar, Q, q_factorial, q_integer, root_of_unity
+from .scalars import (Cyclotomic, HScalar, Q, q_factorial, q_integer,
+                      root_of_unity, signed_sum)
 
 
 class StarError(ValueError):
@@ -136,7 +137,7 @@ class QPoly(Terms):
 
     def to_literal(self):
         """Render in the CLI expression grammar (variables Z, Zb, g)."""
-        parts = []
+        bodies = []
         for a, b, k in sorted(self.terms, key=lambda key: (key[2], key[0], key[1])):
             lit = self.terms[(a, b, k)].to_literal()
             factors = []
@@ -157,13 +158,8 @@ class QPoly(Terms):
                 body = f"({lit})*{mono}"
             else:
                 body = f"{lit}*{mono}"
-            if parts and not body.startswith("-"):
-                parts.append(f"+ {body}")
-            elif parts:
-                parts.append(f"- {body[1:]}")
-            else:
-                parts.append(body)
-        return " ".join(parts) if parts else "0"
+            bodies.append(body)
+        return signed_sum(bodies)
 
     def __repr__(self):
         return f"QPoly({self.n}: {self.to_literal()})"

@@ -375,29 +375,32 @@ class Cyclotomic:
     def to_literal(self, symbol="z"):
         """Render as a literal like '1/2*z^3 - 2' (descending powers)."""
         c = self.c
-        parts = []
+        bodies = []
         for k in range(len(c) - 1, -1, -1):
             a = c[k]
             if not a:
                 continue
-            sign = "-" if a < 0 else "+"
+            sign = "-" if a < 0 else ""
             a = abs(a)
             if k == 0:
                 body = str(a)
             else:
                 var = symbol if k == 1 else f"{symbol}^{k}"
                 body = var if a == 1 else f"{a}*{var}"
-            parts.append((sign, body))
-        if not parts:
-            return "0"
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+            bodies.append(sign + body)
+        return signed_sum(bodies)
 
     def __repr__(self):
         return f"Cyclotomic({self.M}: {self.to_literal()})"
+
+
+def signed_sum(bodies):
+    """Join a list of rendered terms as 'a + b - c': a later body that starts
+    with '-' is subtracted, the first keeps its sign, and no bodies read '0'."""
+    if not bodies:
+        return "0"
+    return bodies[0] + "".join(f" - {b[1:]}" if b.startswith("-") else f" + {b}"
+                               for b in bodies[1:])
 
 
 def root_of_unity(M, k=1):
@@ -588,7 +591,7 @@ class HScalar:
         return hash((self.M, self.parts))
 
     def to_literal(self, symbol="z", h="h"):
-        parts = []
+        bodies = []
         for j in range(len(self.parts) - 1, -1, -1):
             a = self.parts[j]
             if a.is_zero():
@@ -605,13 +608,8 @@ class HScalar:
                 body = f"({lit})*{hpow}"
             else:
                 body = f"{lit}*{hpow}"
-            if parts and not body.startswith("-"):
-                parts.append(f"+ {body}")
-            elif parts:
-                parts.append(f"- {body[1:]}")
-            else:
-                parts.append(body)
-        return " ".join(parts) if parts else "0"
+            bodies.append(body)
+        return signed_sum(bodies)
 
     def __repr__(self):
         return f"HScalar({self.M}: {self.to_literal()})"

@@ -6,8 +6,10 @@ by codimension, the literature count of flat constant deformations, the
 degree-0 cohomology comparison, dense matrix helpers, a Fraction-only model
 of cyclotomic arithmetic, a slot-by-slot evaluator of the trilinear bracket,
 the label-wise projection as a transform, a filter and a transform back,
-the rewriting of words and critical overlaps without a memo, and the
-constant-correction system over every group element.
+the rewriting of words and critical overlaps without a memo, the
+constant-correction system over every group element, kernels and
+inverses read off the reduced echelon form, and the cohomology basis
+seeded at every label.
 The engine does not use them, so they live beside the tests instead of in
 the package.
 """
@@ -16,9 +18,9 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import combinations
 
-from crossed_poisson.cohom import h_truncated
+from crossed_poisson.cohom import _monomials, h_truncated
 from crossed_poisson.groups import GeometryError
-from crossed_poisson.linalg import add_into, solve
+from crossed_poisson.linalg import Span, _echelon, _sparse, add_into, solve
 from crossed_poisson.pbw import (
     DeformedAlgebra,
     SolveBResult,
@@ -34,8 +36,10 @@ from crossed_poisson.polyvec import (
     UnsupportedStructureError,
     _transform_terms,
     act,
+    average,
     is_invariant,
     koszul_differential,
+    pr,
     wedge_sort,
 )
 from crossed_poisson.qmoyal import (
@@ -163,6 +167,52 @@ def identity_matrix(M, n):
 
 def mat_eq(A, B):
     return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
+
+
+def reduced_echelon(span):
+    """The reduced row echelon rows {pivot: row} of an echelon Span: each row
+    scaled to 1 at its pivot and cleared at every other pivot, later pivots
+    first.  The engine reads solutions by back-substitution instead."""
+    out = {}
+    for lead in sorted(span.pivots, reverse=True):
+        row, _, inv = span.pivots[lead]
+        row = {key: v * inv for key, v in row.items()}
+        for c in [c for c in row if c != lead and c in out]:
+            neg = -row[c]
+            for key, v in out[c].items():
+                add_into(row, key, v * neg)
+        out[lead] = row
+    return out
+
+
+def reference_kernel_basis(A, ncols, M):
+    """kernel_basis read off the reduced echelon form: the vector of free
+    column f is 1 at f and minus column f of each reduced row at its pivot."""
+    zero, one = Cyclotomic.zero(M), Cyclotomic.one(M)
+    R = reduced_echelon(_echelon([_sparse(r) for r in A], ncols)[0]) if A else {}
+    basis = []
+    for f in range(ncols):
+        if f in R:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for c, row in R.items():
+            a = row.get(f)
+            if a:
+                v[c] = -a
+        basis.append(v)
+    return basis
+
+
+def reference_mat_inv(A, M):
+    """mat_inv read off the reduced echelon form of [A | I]."""
+    n = len(A)
+    one, zero = Cyclotomic.one(M), Cyclotomic.zero(M)
+    span, r = _echelon([{**_sparse(row), n + i: one} for i, row in enumerate(A)], n)
+    if r != n:
+        raise ValueError("singular matrix")
+    R = reduced_echelon(span)
+    return [[R[i].get(n + j, zero) for j in range(n)] for i in range(n)]
 
 
 # -- groups ----------------------------------------------------------------------
@@ -582,6 +632,28 @@ def solve_b_against_reference(pair):
 
 
 # -- cohomology --------------------------------------------------------------------
+
+def reference_representative_basis(group, poly_cap, j):
+    """TruncatedComplex's degree-j basis, as (fields, degrees), seeded at every
+    label instead of at the class representatives only."""
+    m = group.dim
+    fields, degs = [], []
+    span = Span()
+    for gi in range(group.order):
+        if group.geometry(gi).codim > j:
+            continue
+        for wedge in combinations(range(m), j):
+            for expo in _monomials(m, poly_cap):
+                seed = pr(PolyVectorField.single(group, gi, expo, wedge, 1))
+                image = average(seed)
+                if image.is_zero():
+                    continue
+                row = span.insert(image.terms)
+                if row is not None:
+                    fields.append(image._like(row))
+                    degs.append(sum(expo))
+    return fields, degs
+
 
 def compare_h0(pair, d):
     """Dimensions of degree-0 cohomology for the pair and for its identity part.

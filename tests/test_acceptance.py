@@ -209,7 +209,7 @@ def test_criterion_4_missing_constant_part_detected_and_solved():
     t0 = time.monotonic()
     pair = catalog.gamma_n_family(1, 1).structure
     G = pair.group
-    report = check_bg(pair, zero_b=True)
+    report = check_bg(pair.with_b(None))
     assert not report.passed
     assert not report.bg1_failures and not report.bg3_residues
     assert {(G.word_str(g), w) for (g, w) in report.bg2_residues} == {

@@ -210,7 +210,7 @@ def test_gamma_1_correction_matches_solver():
 
 def test_gamma_1_without_correction_fails_at_rotation_labels():
     ent = catalog.gamma_n_family(1, generic_c0())
-    rep = pbw.check_bg(ent.structure, zero_b=True)
+    rep = pbw.check_bg(ent.structure.with_b(None))
     assert not rep.passed
     assert not rep.bg1_failures and not rep.bg3_residues
     rotations = {g for g in range(1, ent.group.order) if ent.group.codim(g) == 4}

@@ -326,6 +326,19 @@ def test_input_errors_exit_two(invoke):
     assert code == 2
 
 
+def test_catalog_parameters_refuse_symbols(invoke):
+    # parameters are rational; z over the trivial field would read as 1
+    for flag, raw, column in (("--c0", "z", 1), ("--c0", "z^2+1/2", 1),
+                              ("--c0", "1/2 + z", 7)):
+        code, out, err = invoke(["catalog", "gamma_n", "--n", "1", flag, raw])
+        assert code == 2 and not out
+        assert f"{flag}: column {column}: unknown symbol 'z'" in err
+    code, _, err = invoke(["catalog", "z2_constant", "--c", "2*z"])
+    assert code == 2 and "column 3" in err
+    code, out, _ = invoke(["catalog", "gamma_n", "--n", "1", "--c0", "3/2"])
+    assert code == 0 and '"3/2"' in out
+
+
 def test_non_invertible_generator_exits_two(invoke):
     # the zero matrix closes into the monoid {I, 0}, not a group
     doc = {"conductor": 1, "dimension": 2,

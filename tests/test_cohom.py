@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import sl2_order3_pair, z2_group
+from conftest import permutation_group_on_doubled_space, sl2_order3_pair, z2_group
 from crossed_poisson import catalog, cohom, linalg
 from crossed_poisson.groups import generate
 from crossed_poisson.scalars import Cyclotomic, Q
@@ -19,7 +19,7 @@ from crossed_poisson.cohom import (
     UnsupportedDegreeError,
     h_truncated,
 )
-from oracles import compare_h0, max_poly_degree
+from oracles import compare_h0, max_poly_degree, reference_representative_basis
 
 
 def z2_constant_pair():
@@ -282,6 +282,32 @@ def test_degree_limited_complex_equals_the_full_one(make):
         for name in ("kernel_basis", "image_basis", "representatives"):
             assert (_term_lists(getattr(got, name))
                     == _term_lists(getattr(want, name))), (k, name)
+
+
+def permutation_pair(n, signed):
+    """The symplectic reflection pair of S_n or B_n on C^n + C^n*, c = 1."""
+    G = permutation_group_on_doubled_space(n, signed)
+    m = G.dim
+    omega = [[int(j == i + n) - int(i == j + n) for j in range(m)] for i in range(m)]
+    return catalog.symplectic_reflection(G, omega, 1).structure
+
+
+@pytest.mark.parametrize("make", [
+    z2_constant_pair, lambda: r3_pair(1), lambda: r3_pair(2), sl2_order3_pair,
+    reflection_pair, signed_swap_pair, lambda: permutation_pair(3, False),
+    lambda: permutation_pair(2, True),
+], ids=["z2_constant", "r3_1", "r3_2", "sl2_order3", "reflection", "signed_swap",
+        "S3", "B2"])
+def test_basis_seeded_at_representatives_equals_every_label_seeding(make):
+    # S3 and B2 are not abelian, so there the engine skips the seeds at every
+    # label outside a class's smallest one
+    pair = make()
+    cap = 2
+    complex_ = TruncatedComplex(pair, cap)
+    for j in range(4):
+        fields, degrees = reference_representative_basis(pair.group, cap, j)
+        assert _term_lists(complex_.bases[j]) == _term_lists(fields), j
+        assert complex_.degrees[j] == degrees, j
 
 
 def test_degree_zero_complex_checks_square_zero_directly(monkeypatch):

@@ -121,6 +121,8 @@ def _cases():
         ("center_relation_n3", ["center-relation", "--n", "3"], _no_input),
         ("catalog_gamma1", ["catalog", "gamma_n", "--n", "1", "--c0", "1"],
          _no_input),
+        ("catalog_gamma1_symbol_error",
+         ["catalog", "gamma_n", "--n", "1", "--c0", "z^2+1/2"], _no_input),
         ("center_relation_n1_error", ["center-relation", "--n", "1"], _no_input),
         ("check_bg_broken_json", ["check-bg"], lambda: "{broken"),
         ("check_bg_boolean_integers", ["check-bg"], _doc(BOOLEAN_INTEGERS)),

@@ -6,7 +6,12 @@ from conftest import random_pvf, z2_group
 from crossed_poisson.scalars import Cyclotomic, HScalar, Q, root_of_unity
 from crossed_poisson import catalog, linalg, pbw
 from crossed_poisson.qmoyal import OrderMismatchError, QPoly
-from oracles import identity_matrix, mat_eq
+from oracles import (
+    identity_matrix,
+    mat_eq,
+    reference_kernel_basis,
+    reference_mat_inv,
+)
 
 
 def _r(M, a):
@@ -162,6 +167,29 @@ def test_mat_inv_inverts_and_refuses_singular(seed=11):
                 A[0] = [a * x for x in A[1]]
                 with pytest.raises(ValueError):
                     linalg.mat_inv(A, M)
+
+
+def test_back_substitution_equals_the_reduced_echelon_form(seed=13):
+    # kernel_basis and mat_inv read back-substituted solutions; each is the
+    # unique one with its free columns fixed, so it equals the reduced
+    # echelon reading entry for entry
+    rng = random.Random(seed)
+    for M in (1, 3, 4, 12):
+        one, zero = Cyclotomic.one(M), Cyclotomic.zero(M)
+        for _ in range(20):
+            n, m = rng.randint(1, 10), rng.randint(1, 9)
+            A = _sparse_matrix(rng, M, n, m, density=0.3)
+            ker = linalg.kernel_basis(A, m, M)
+            assert ker == reference_kernel_basis(A, m, M)
+            pivots = linalg._echelon([linalg._sparse(r) for r in A], m)[0].pivots
+            free = [f for f in range(m) if f not in pivots]
+            assert len(ker) == len(free)
+            for f, v in zip(free, ker):
+                assert [v[g] for g in free] == [one if g == f else zero for g in free]
+        for _ in range(6):
+            A = _invertible_matrix(rng, M, rng.randint(1, 6))
+            assert linalg.mat_inv(A, M) == reference_mat_inv(A, M)
+    assert linalg.kernel_basis([], 2, 4) == reference_kernel_basis([], 2, 4)
 
 
 # -- the sparse sum ------------------------------------------------------------

@@ -153,7 +153,7 @@ def test_check_bg_zero_b_flag():
     b = PolyVectorField.single(G, 0, (0, 0), (0, 1), 1)
     pair = StructurePair(G, b=b)
     assert check_bg(pair).passed
-    assert check_bg(pair, zero_b=True).passed
+    assert check_bg(pair.with_b(None)).passed
 
 
 def test_check_bg_incompatible_weights_tags_hbar_degree():

@@ -19,6 +19,7 @@ from crossed_poisson.polyvec import (
     is_invariant,
     is_poisson,
     koszul_differential,
+    orbit_sum,
     poisson_differential,
     pr,
     p_mul,
@@ -79,6 +80,19 @@ def test_average_is_invariant_projector():
     A = average(X)
     assert is_invariant(A)
     assert average(A) == A
+
+
+def test_orbit_sum_is_the_sum_of_the_moved_fields():
+    G = gamma1_group()
+    rng = random.Random(17)
+    for _ in range(4):
+        X = random_pvf(G, rng, nterms=5)
+        elements = rng.sample(range(G.order), rng.randint(0, G.order))
+        want = PolyVectorField.zero(G)
+        for g in elements:
+            want = want + act(g, X)
+        assert PolyVectorField(G, orbit_sum(X, elements)) == want
+    assert average(X).scale(G.order) == PolyVectorField(G, orbit_sum(X, range(G.order)))
 
 
 # -- the memoized substitutions against a plain loop -----------------------------
@@ -460,6 +474,26 @@ def test_cancelling_products_store_no_zero():
     assert sub.wedge((0, 1)) == {(0, 1): one}
     for img in (prod, sub.monomial((2, 1)), sub.monomial((1, 2)), sub.wedge((0,))):
         assert all(v for v in img.values())
+
+
+def test_wedge2_holds_the_minors_of_its_two_vectors():
+    # u ^ v is the image of e_0 ^ e_1 under the matrix with columns u and v
+    G = gamma1_group()
+    M, m = G.M, G.dim
+    rng = random.Random(19)
+    ident = [list(row) for row in G.matrix(0)]
+
+    def vector(density):
+        return [Cyclotomic.rational(M, rng.randint(-2, 2)) * root_of_unity(M, rng.randrange(M))
+                if rng.random() < density else Cyclotomic.zero(M) for _ in range(m)]
+
+    for density in (1.0, 0.4) * 5:
+        u, v = vector(density), vector(density)
+        minors = LinearSubstitution(ident, [[a, b] for a, b in zip(u, v)]).wedge((0, 1))
+        want = {(3, (0,) * m, T): d for T, d in minors.items()}
+        assert PolyVectorField.wedge2(G, 3, u, v).terms == want
+    row = G.matrix(1)[0]
+    assert not PolyVectorField.wedge2(G, 0, row, row)
 
 
 def _leibniz_minor(mat, rows, cols, M):

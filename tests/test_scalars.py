@@ -22,6 +22,7 @@ from crossed_poisson.scalars import (
     q_factorial,
     q_integer,
     root_of_unity,
+    signed_sum,
 )
 
 
@@ -262,3 +263,17 @@ def test_hscalar_literals_round_shape():
     lit = s.to_literal()
     assert "h" in lit
     assert s.conjugate().coeff(1) == root_of_unity(M, 11)
+
+
+def test_signed_sum_joins_signed_bodies():
+    assert signed_sum([]) == "0"
+    assert signed_sum(["x"]) == "x"
+    assert signed_sum(["-x", "y", "-2*z"]) == "-x + y - 2*z"
+    assert HScalar.zero(4).to_literal() == "0"
+    assert Cyclotomic(4, [0, -1]).to_literal() == "-z"
+    # a negative multi-term coefficient is bracketed at h and subtracted
+    # term by term at h^0
+    neg = Cyclotomic(4, [-1, -1])
+    assert neg.to_literal() == "-z - 1"
+    assert HScalar(4, (neg, neg)).to_literal() == "(-z - 1)*h - z - 1"
+    assert HScalar(4, (Cyclotomic.one(4), -Cyclotomic.one(4))).to_literal() == "-h + 1"
