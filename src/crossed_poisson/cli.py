@@ -33,7 +33,7 @@ from .polyvec import (
 from . import pbw
 from . import catalog as catalog_mod
 from . import qmoyal
-from .cohom import UnsupportedDegreeError, h_truncated
+from .cohom import NotPoissonError, UnsupportedDegreeError, h_truncated
 
 CONDUCTOR_CAP_VAR = "CROSSED_POISSON_MAX_CONDUCTOR"
 DEFAULT_CONDUCTOR_CAP = 256
@@ -216,9 +216,13 @@ class _CyclotomicDomain(_Domain):
         return Cyclotomic.rational(self.M, k)
 
     def name(self, sym, text, pos):
-        if sym == "z":
-            return root_of_unity(self.M, 1)
-        raise LiteralError(text, pos, f"unknown symbol {sym!r} (only 'z' is scalar)")
+        if sym != "z":
+            raise LiteralError(text, pos, f"unknown symbol {sym!r} (only 'z' is scalar)")
+        z = root_of_unity(self.M, 1)
+        if self.M <= 2:
+            raise LiteralError(text, pos, f"'z' is rational at conductor {self.M} "
+                                          f"(write {z.to_literal()})")
+        return z
 
     def power(self, a, k):
         return a ** k
@@ -730,12 +734,11 @@ def cmd_cohomology(args):
     if not 0 <= args.degree <= 2:
         raise InputError("--degree must be 0, 1, or 2")
     pair = _load_pair(args)
-    health = is_poisson(pair)
-    if not health.ok:
-        return 1, {"poisson": False, "invariant": health.invariant,
-                   **_bracket_residues(health)}
     try:
         outcome = h_truncated(pair, args.degree, args.polydeg)
+    except NotPoissonError as e:
+        return 1, {"poisson": False, "invariant": e.report.invariant,
+                   **_bracket_residues(e.report)}
     except UnsupportedDegreeError as e:
         raise InputError(str(e))
     group = pair.group
@@ -889,6 +892,8 @@ def build_parser():
 
     p = add("catalog", cmd_catalog, _text_catalog,
             "emit a named entry as a structure file", with_file=False)
+    # let negative rational parameters such as --c0 -3/4 through as values
+    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     p.add_argument("name", help="z2_constant, z2_r3_linear, gamma_n, "
                                 "or cyclic_qmoyal")
     p.add_argument("--n", type=int, help="family parameter n")

@@ -38,6 +38,14 @@ class UnsupportedDegreeError(ValueError):
     """Raised for cochain degrees the truncated assembly does not cover."""
 
 
+class NotPoissonError(ValueError):
+    """The pair is not Poisson; report is the PoissonReport that says why."""
+
+    def __init__(self, report):
+        self.report = report
+        super().__init__("structure pair is not Poisson on the representative space")
+
+
 def _monomials(m, cap):
     """Exponent tuples in m variables of total degree <= cap, ordered."""
     out = []
@@ -79,7 +87,7 @@ class TruncatedComplex:
             raise UnsupportedDegreeError("the complex is built through degree 1, 2, or 3")
         report = is_poisson(pair)
         if not report.ok:
-            raise ValueError("structure pair is not Poisson on the representative space")
+            raise NotPoissonError(report)
         self.pair = pair
         self.group = pair.group
         self.poly_cap = poly_cap

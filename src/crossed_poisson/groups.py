@@ -53,15 +53,59 @@ class ElementGeometry:
 
 
 class MatrixGroup:
-    """A finite group of invertible matrices, closed under multiplication."""
+    """The finite group of invertible matrices generated by ``generators``.
 
-    def __init__(self, conductor, dim, elements, gen_indices, words, rmul):
-        self.M = conductor
+    The constructor closes the generators under products by breadth-first
+    search, so every element is a distinct matrix reached by a word in the
+    generators, and each product in the table mul is a product of matrices:
+    mul[g][d] has the matrix product matrix(d) matrix(g).  It raises as
+    generate does.
+    """
+
+    def __init__(self, generators, conductor, max_order=512):
+        if not generators:
+            raise ValueError("need at least one generator")
+        M = conductor
+        gens = [_as_matrix(g, M) for g in generators]
+        dim = len(gens[0])
+        for k, g in enumerate(gens):
+            if len(g) != dim or any(len(row) != dim for row in g):
+                raise ValueError("generators must be square matrices of equal size")
+            if linalg.rank(g) < dim:
+                raise ValueError(f"generator {k} is not invertible")
+        ident = tuple(tuple(Cyclotomic.one(M) if r == c else Cyclotomic.zero(M)
+                            for c in range(dim)) for r in range(dim))
+        elements = [ident]
+        words = [()]
+        index = {ident: 0}
+        rmul = []  # rmul[i][gi] = index of elements[i] * gens[gi]
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for ei in frontier:
+                a = [list(r) for r in elements[ei]]
+                rmul.append([None] * len(gens))
+                for gi, g in enumerate(gens):
+                    # product a*g as map composition; in the row (substitution)
+                    # convention the matrix of a*g is mat(g) mat(a)
+                    prod = tuple(map(tuple, linalg.mat_mul([list(r) for r in g], a)))
+                    j = index.get(prod)
+                    if j is None:
+                        if len(elements) >= max_order:
+                            raise GroupOrderError(
+                                f"group order exceeds bound {max_order}")
+                        j = index[prod] = len(elements)
+                        elements.append(prod)
+                        words.append(words[ei] + (gi,))
+                        nxt.append(j)
+                    rmul[ei][gi] = j
+            frontier = nxt
+        self.M = M
         self.dim = dim
-        self.elements = elements            # tuple of matrices, identity first
-        self.gen_indices = gen_indices
-        self.words = words                  # words[i]: tuple of generator indices
-        self.index = {m: i for i, m in enumerate(elements)}
+        self.elements = tuple(elements)     # identity first
+        self.gen_indices = [index[g] for g in gens]
+        self.words = tuple(words)           # words[i]: tuple of generator indices
+        self.index = index
         n = len(elements)
         # mul[i][j]: fold the word of j through the right-by-generator tables
         self.mul = [[0] * n for _ in range(n)]
@@ -72,15 +116,7 @@ class MatrixGroup:
                 for gi in words[j]:
                     x = rmul[x][gi]
                 row[j] = x
-        self.inv = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if self.mul[i][j] == 0:
-                    self.inv[i] = j
-                    break
-            else:
-                raise ValueError(f"element {self.word_str(i)} has no inverse "
-                                 "in the closure")
+        self.inv = [row.index(0) for row in self.mul]
         self._geometry: dict[int, ElementGeometry] = {}
         self._substitutions: dict[int, LinearSubstitution] = {}
         self._classes = None
@@ -242,46 +278,4 @@ def generate(generators, conductor, max_order=512):
     into a monoid) and GroupOrderError if the closure exceeds max_order
     elements.
     """
-    if not generators:
-        raise ValueError("need at least one generator")
-    M = conductor
-    gens = [_as_matrix(g, M) for g in generators]
-    dim = len(gens[0])
-    for k, g in enumerate(gens):
-        if len(g) != dim or any(len(row) != dim for row in g):
-            raise ValueError("generators must be square matrices of equal size")
-        if linalg.rank(g) < dim:
-            raise ValueError(f"generator {k} is not invertible")
-    ident = tuple(tuple(Cyclotomic.one(M) if r == c else Cyclotomic.zero(M)
-                        for c in range(dim)) for r in range(dim))
-    elements = [ident]
-    words = [()]
-    index = {ident: 0}
-    rmul = []  # rmul[i][gi] = index of elements[i] * gens[gi]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for ei in frontier:
-            a = elements[ei]
-            while len(rmul) <= ei:
-                rmul.append([None] * len(gens))
-            for gi, g in enumerate(gens):
-                # product a*g as map composition; in the row (substitution)
-                # convention the matrix of a*g is mat(g) mat(a)
-                prod = tuple(tuple(x for x in row)
-                             for row in linalg.mat_mul([list(r) for r in g],
-                                                       [list(r) for r in a]))
-                j = index.get(prod)
-                if j is None:
-                    if len(elements) >= max_order:
-                        raise GroupOrderError(
-                            f"group order exceeds bound {max_order}")
-                    j = len(elements)
-                    index[prod] = j
-                    elements.append(prod)
-                    words.append(words[ei] + (gi,))
-                    nxt.append(j)
-                rmul[ei][gi] = j
-        frontier = nxt
-    gen_indices = [index[g] for g in gens]
-    return MatrixGroup(M, dim, tuple(elements), gen_indices, tuple(words), rmul)
+    return MatrixGroup(generators, conductor, max_order)

@@ -359,10 +359,9 @@ def _reduce_sum(alg, words):
     return out
 
 
-def _overlap_words(m, order, g_labels, d_labels):
-    """The critical words in report order: x_i x_j x_k (i > j > k), then
-    g x_i x_j (i > j) for g in g_labels, then g d x_i for every g and d in
-    d_labels."""
+def _overlap_words(m, g_labels):
+    """The probed critical words in report order: x_i x_j x_k (i > j > k),
+    then g x_i x_j (i > j) for g in g_labels."""
     for i in range(m):
         for j in range(i):
             for k in range(j):
@@ -371,29 +370,6 @@ def _overlap_words(m, order, g_labels, d_labels):
         for i in range(m):
             for j in range(i):
                 yield (("g", g), ("x", i), ("x", j))
-    for g in range(order):
-        for d in d_labels:
-            for i in range(m):
-                yield (("g", g), ("g", d), ("x", i))
-
-
-def _family(word):
-    # 0 for x_i x_j x_k, 1 for g x_i x_j, 2 for g d x_i: its group letters
-    return sum(kind == "g" for kind, _ in word)
-
-
-def _spelled_by_generators(group):
-    """Whether the group data are as overlap_confluence's derivation reads
-    them, as generate builds them: element 0 is the identity matrix, the
-    elements are distinct, mul[0][d] == d, and every letter s of a word is
-    the word (s,) of generator s."""
-    n, words, gens = group.order, group.words, group.gen_indices
-    return (all(a == (r == c) for r, row in enumerate(group.elements[0])
-                for c, a in enumerate(row))
-            and len(group.index) == n
-            and all(group.mul[0][d] == d for d in range(n))
-            and all(s < len(gens) and words[gens[s]] == (s,)
-                    for s in {s for w in words for s in w}))
 
 
 def overlap_confluence(pair):
@@ -406,29 +382,17 @@ def overlap_confluence(pair):
     difference is a confluence failure and is returned with the word that
     exposed it.  Bergman's diamond lemma asks that every overlap resolve, not
     that each be probed: the x_i x_j x_k words are all probed, the g x_i x_j
-    words only for g in D = {e} + generators and the g d x_i words only for
-    d in D, and the rest follow from these by induction on the words along
-    which MatrixGroup folds mul.  A failing g d x_i word stops the
-    derivation and every word is probed; a failing g x_i x_j word has all of
-    its family probed, while the g d x_i words, whose derivation does not
-    read the g x_i x_j ones, still all resolve.  So failures are exactly
-    those of probing every word.
+    words only for g in D = {e} + generators, and the rest resolve by the
+    arguments below.  A failing g x_i x_j word has all of its family probed,
+    so failures are exactly those of probing every word.
 
-    The derivation assumes that pi is linear and b constant (StructurePair
-    enforces both), that element 0 is the identity matrix, that the elements
-    are distinct matrices, and that mul[g][d] folds the word w_1 ... w_n of
-    d as mul[..mul[g][s_1]..][s_n] with s_t the generator of letter w_t and
-    mul[0][d] == d.  Groups from generate meet all of this;
-    _spelled_by_generators checks it, and without it every word is probed.
-    Write M(g) for the matrix of g and gd for mul[g][d].
+    The arguments assume that pi is linear and b constant (StructurePair
+    enforces both).  Write M(g) for the matrix of g and gd for mul[g][d].
 
     g d x_i.  Its two sides reduce to row i of M(gd) and of M(d) M(g), each
-    times x_j gd.  Say every g s x_i with s in D resolves, so
-    M(gs) = M(s) M(g) for every g.  Folding the word of d from any g then
-    gives M(gd) = M(s_n) ... M(s_1) M(g), which is M(d) M(g), since at g = e,
-    where ed = d and M(e) = 1, it reads M(d) = M(s_n) ... M(s_1).  So every
-    g d x_i resolves.  As the elements are distinct matrices, mul is then
-    associative.
+    times x_j gd.  MatrixGroup builds mul from products of matrices, so
+    M(gd) = M(d) M(g) for all g and d, and every g d x_i resolves by
+    construction.  The same makes mul associative, with identity e.
 
     g x_i x_j.  Let C_ij (i > j) be the correction of x_i x_j: the terms
     c x_t h and c h with x_i x_j = x_j x_i + C_ij, extended by
@@ -440,19 +404,18 @@ def overlap_confluence(pair):
     resolves exactly when
       P(g):  T_g C_ij = R_g (g * C)_ij,
     an identity antisymmetric in (i, j), so the words with i > j cover it.
-    With the g d x_i words resolved and mul associative, T_{gh} = T_g T_h,
+    With M(gh) = M(h) M(g) and mul associative, T_{gh} = T_g T_h,
     R_{gh} = R_h R_g, T_g R_h = R_h T_g, and (gh) * C = h * (g * C); T and R
     are linear and act within each C_kl, so they commute with the * of any
     element.  If P(g) and P(h) hold, then
       T_{gh} C = T_g T_h C = T_g R_h (h * C) = R_h (h * T_g C)
                = R_h (h * R_g (g * C)) = R_{gh} ((gh) * C),
-    so P(gh) holds.  Every element is a product of generators, since
-    d = mul[0][d] folds its word from e, so P holds on all of the group once
-    it holds on D.
+    so P(gh) holds.  Every element is a product of generators, so P holds on
+    all of the group once it holds on D.
 
     overlaps_checked is the full count C(m,3) + |G| C(m,2) + |G|^2 m, and
-    overlaps_probed is C(m,3) + |D| C(m,2) + |G| |D| m when no word with a
-    group letter fails.
+    overlaps_probed is C(m,3) + |D| C(m,2) when no g x_i x_j word fails and
+    C(m,3) + |G| C(m,2) when one does.
     """
     alg = DeformedAlgebra(pair)
     m, group = alg.m, alg.group
@@ -478,18 +441,17 @@ def overlap_confluence(pair):
             if d.parts:
                 out.append((desc, key, d))
 
-    every = range(n)
-    derive = _spelled_by_generators(group)
-    gens = sorted({0, *group.gen_indices}) if derive else every
-    for word in _overlap_words(m, n, gens, gens):
+    def has_g(word):
+        return word[0][0] == "g"
+
+    gens = sorted({0, *group.gen_indices})
+    for word in _overlap_words(m, gens):
         probe(word)
-    failed = {_family(word) for word in found}
-    if derive and failed & {1, 2}:
-        done = set(_overlap_words(m, n, gens, gens))
-        for word in _overlap_words(m, n, every, every if 2 in failed else gens):
-            if word not in done:
+    if any(map(has_g, found)):
+        for word in _overlap_words(m, range(n)):
+            if has_g(word) and word[0][1] not in gens:
                 probe(word)
-    failures = [f for word in sorted(found, key=lambda w: (_family(w), w))
+    failures = [f for word in sorted(found, key=lambda w: (has_g(w), w))
                 for f in found[word]]
     checked = comb(m, 3) + n * comb(m, 2) + n * n * m
     return ConfluenceReport(failures, checked, probed)

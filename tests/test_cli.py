@@ -339,6 +339,31 @@ def test_catalog_parameters_refuse_symbols(invoke):
     assert code == 0 and '"3/2"' in out
 
 
+def test_negative_catalog_parameters_need_no_equals_sign(invoke):
+    for argv, flag, raw in ((["gamma_n", "--n", "1"], "--c0", "-3/4"),
+                            (["gamma_n", "--n", "1", "--c0", "1"], "--a", "-1/2"),
+                            (["z2_constant"], "--c", "-2")):
+        spaced = invoke(["catalog", *argv, flag, raw])
+        assert spaced == invoke(["catalog", *argv, f"{flag}={raw}"])
+        assert spaced[0] == 0 and spaced[1] and not spaced[2]
+
+
+def test_z_is_refused_where_it_is_rational(invoke):
+    # at conductors 1 and 2 the root z is 1 or -1, which a file should spell out
+    for M in (1, 2):
+        with pytest.raises(LiteralError,
+                           match=f"column 3: 'z' is rational at conductor {M}"):
+            parse_scalar("2*z", M)
+    assert parse_scalar("-1", 2) == root_of_unity(2, 1)
+    doc = {"conductor": 1, "dimension": 2,
+           "generators": [[[-1, 0], [0, -1]]],
+           "structure": [{"label": "g0", "poly": "1", "wedge": [0, 1],
+                          "coeff": "z"}]}
+    code, out, err = invoke(["check-bg"], stdin=json.dumps(doc))
+    assert code == 2 and not out
+    assert "structure term 0: column 1: 'z' is rational at conductor 1" in err
+
+
 def test_non_invertible_generator_exits_two(invoke):
     # the zero matrix closes into the monoid {I, 0}, not a group
     doc = {"conductor": 1, "dimension": 2,

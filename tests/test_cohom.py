@@ -15,6 +15,7 @@ from crossed_poisson.polyvec import (
 )
 from crossed_poisson.cohom import (
     CohomologyReport,
+    NotPoissonError,
     TruncatedComplex,
     UnsupportedDegreeError,
     h_truncated,
@@ -358,8 +359,10 @@ def test_non_poisson_pair_is_rejected():
     base = r3_pair(2)
     broken = base.pi.restrict_label(0) + PolyVectorField.single(
         base.group, 0, (0, 0, 1), (0, 2), 1)
-    with pytest.raises(ValueError, match="not Poisson"):
+    with pytest.raises(NotPoissonError, match="not Poisson") as caught:
         TruncatedComplex(StructurePair(base.group, pi=broken), 2)
+    assert isinstance(caught.value, ValueError)
+    assert not caught.value.report.ok
 
 
 def test_report_repr_shows_the_dimension_split():

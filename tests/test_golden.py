@@ -79,6 +79,14 @@ NON_POISSON = {
     ],
 }
 
+# at conductor 1 the root z is the number 1, which a file must spell out:
+# broken input, exit 2
+Z_AT_CONDUCTOR_1 = {
+    "conductor": 1, "dimension": 2,
+    "generators": [[[-1, 0], [0, -1]]],
+    "structure": [{"label": "g0", "poly": "1", "wedge": [0, 1], "coeff": "z"}],
+}
+
 COHOMOLOGY_SMALL = ["cohomology", "--degree", "1", "--polydeg", "2"]
 
 
@@ -126,6 +134,7 @@ def _cases():
         ("center_relation_n1_error", ["center-relation", "--n", "1"], _no_input),
         ("check_bg_broken_json", ["check-bg"], lambda: "{broken"),
         ("check_bg_boolean_integers", ["check-bg"], _doc(BOOLEAN_INTEGERS)),
+        ("check_bg_z_at_conductor_1", ["check-bg"], _doc(Z_AT_CONDUCTOR_1)),
         ("cohomology_degree3_error", ["cohomology", "--degree", "3", "--polydeg", "2"],
          _emitted(lambda: catalog.z2_r3_linear(1))),
     ]

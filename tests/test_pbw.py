@@ -20,7 +20,7 @@ from crossed_poisson.polyvec import (
     is_invariant,
 )
 from crossed_poisson import catalog, linalg, pbw
-from crossed_poisson.groups import MatrixGroup, generate
+from crossed_poisson.groups import generate
 from crossed_poisson.pbw import (
     DeformedAlgebra,
     check_bg,
@@ -508,95 +508,36 @@ def test_reductions_match_the_memo_free_reference(build, confluent):
 ], ids=["trivial_3", "z2", "gamma1", "gamma_n_2", "z2_r3", "S3", "B4"])
 def test_every_overlap_family_is_checked(build):
     # C(m,3) words x_i x_j x_k, |G| C(m,2) words g x_i x_j, |G|^2 m words g d x_i;
-    # on a confluent pair only g in D = {e} + generators is probed in g x_i x_j
-    # and only d in D in g d x_i
+    # on a confluent pair only g in D = {e} + generators is probed in g x_i x_j,
+    # and no g d x_i word, which resolves by the construction of the group
     G = build()
     m, n = G.dim, G.order
     report = overlap_confluence(StructurePair(G))
     assert report.ok
     assert report.overlaps_checked == comb(m, 3) + n * comb(m, 2) + n * n * m
     d = len({0, *G.gen_indices})
-    assert report.overlaps_probed == comb(m, 3) + d * comb(m, 2) + n * d * m
+    assert report.overlaps_probed == comb(m, 3) + d * comb(m, 2)
     if n == 384:
-        # B4: the g d x_i words probed fall from 1,179,648 to 12,288
-        assert (m, d) == (8, 4) and n * d * m == 12_288
+        # B4: 168 of the 1,190,456 words are probed
+        assert (m, d) == (8, 4) and report.overlaps_probed == 168
 
 
 # -- the derived overlaps against probing them all ----------------------------------
 
-def _with_rmul_entry(G, x, s, y, words=None):
-    # generate's data, with rmul[x][s] (x times generator s) pointed at y
-    rmul = [[G.mul[a][gi] for gi in G.gen_indices] for a in range(G.order)]
-    rmul[x][s] = y
-    return MatrixGroup(G.M, G.dim, G.elements, G.gen_indices, words or G.words, rmul)
-
-
-def _corrupted_groups():
-    # on gamma_n n=2 (order 10), one wrong entry per group.  The words of
-    # elements 0 and 3 extend to other words, so a wrong entry in their rows
-    # changes the element some word folds to.  No word extends those of 6 and
-    # 9, so with a wrong entry there every word still folds to its element,
-    # the derivation applies, and only its probes can expose the entry.
-    G = catalog.gamma_n_family(2, 1).group
-    out = []
-    for x in (0, 3, 6, 9):
-        for s in range(len(G.gen_indices)):
-            for y in range(G.order):
-                if y == G.mul[x][G.gen_indices[s]]:
-                    continue
-                try:
-                    out.append(_with_rmul_entry(G, x, s, y))
-                except ValueError:   # some element left without an inverse
-                    continue
-                break
-    # a right table without a wrong entry, but the words of 6 and 9 swapped:
-    # mul[g][6] is g times element 9, which only the g 6 x_i words expose
-    words = list(G.words)
-    words[6], words[9] = words[9], words[6]
-    out.append(_with_rmul_entry(G, 0, 0, G.gen_indices[0], tuple(words)))
-    return out
-
-
-def test_a_wrong_group_table_entry_fails_both_routes(monkeypatch):
-    base = catalog.gamma_n_family(2, 1).structure
-    groups = _corrupted_groups()
-    # row 9 has no wrong entry for generator 0 that leaves every inverse
-    assert len(groups) == 8
-    assert sum(pbw._spelled_by_generators(G) for G in groups) == 3
-    pairs = [pair for G in groups
-             for pair in (StructurePair(G),
-                          StructurePair(G, pi=PolyVectorField(G, base.pi.terms),
-                                        b=PolyVectorField(G, base.b.terms)))]
-    reports = [overlap_confluence(pair) for pair in pairs]
-    # the same engine with nothing derived: every word probed
-    monkeypatch.setattr(pbw, "_spelled_by_generators", lambda group: False)
-    for pair, report in zip(pairs, reports):
-        failures, checked = reference_overlap_confluence(pair)
-        assert failures and not report.ok
-        assert report.failures == overlap_confluence(pair).failures
-        # a wrong table fails a probed g d x_i word, or the derivation does
-        # not apply: either way every word is probed, and none twice
-        assert report.overlaps_probed == report.overlaps_checked == checked
-
-
-def test_a_table_the_derivation_cannot_read_is_probed_in_full():
-    # four labels that all carry the identity matrix, folded through a right
-    # table whose mul is no group law: (g0 g0) g1 = g0^2 but g0 (g0 g1) = g0.
-    # Every g d x_i word resolves, and g x_i x_j fails only at g0^2, which is
-    # no generator, so a derivation from D = {e, g0, g1} would miss it.
-    one, zero = Cyclotomic.one(1), Cyclotomic.zero(1)
-    ident = ((one, zero), (zero, one))
-    a, b = (1, 3, 0, 2), (2, 0, 1, 3)
-    G = MatrixGroup(1, 2, (ident,) * 4, [1, 2], ((), (0,), (1,), (0, 0)),
-                    [[a[x], b[x]] for x in range(4)])
-    assert G.mul[G.mul[1][1]][2] != G.mul[1][G.mul[1][2]]
-    assert not pbw._spelled_by_generators(G)
-    pair = StructurePair(G, b=PolyVectorField.single(G, 2, (0, 0), (0, 1), 1))
+def test_a_failing_group_letter_word_probes_its_whole_family():
+    # pi at the identity only fails g x_i x_j at a generator, so every g x_i x_j
+    # word is probed, and the failures beyond D match the reference's
+    pair = _non_invariant_on_gamma_n()
+    G = pair.group
+    m, n = G.dim, G.order
     report = overlap_confluence(pair)
     failures, checked = reference_overlap_confluence(pair)
-    assert report.failures == failures
-    assert {desc for desc, _, _ in failures} == {"g0^2 x1 x0"}
-    assert report.overlaps_probed == checked
+    assert report.failures == failures and report.overlaps_checked == checked
+    assert report.overlaps_probed == comb(m, 3) + n * comb(m, 2)
+    failing = {G.element_from_word(desc.split()[0])
+               for desc, _, _ in failures if desc[0] != "x"}
+    D = {0, *G.gen_indices}
+    assert failing & D and failing - D
 
 
 def _gamma_n_generators():
@@ -621,7 +562,7 @@ def _random_non_invariant_pair(group, seed):
 def test_derived_overlaps_match_probing_all_of_them(pick):
     M, (a, b), e = _gamma_n_generators()
     G = generate(pick(a, b, e), M)
-    assert G.order == 10 and pbw._spelled_by_generators(G)
+    assert G.order == 10
     d = len({0, *G.gen_indices})
     assert d == 3
     flat = catalog.gamma_n_family(2, 1).structure
@@ -638,11 +579,11 @@ def test_derived_overlaps_match_probing_all_of_them(pick):
         assert report.ok == (not failures)
         verdicts.add(report.ok)
         # a failing g x_i x_j word has its family probed at every g; the
-        # g d x_i words read only the group, which is sound, and stay derived
+        # g d x_i words read only the group, which is sound, and are never probed
         families = {sum(not t.startswith("x") for t in desc.split())
                     for desc, _, _ in failures}
         assert 2 not in families
         gx = 1 in families
-        assert report.overlaps_probed == 4 + (10 if gx else d) * 6 + 10 * d * 4
+        assert report.overlaps_probed == 4 + (10 if gx else d) * 6
         verdicts.add(("g x_i x_j fails", gx))
     assert {True, False, ("g x_i x_j fails", True)} <= verdicts
