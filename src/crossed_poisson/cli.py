@@ -33,7 +33,7 @@ from .polyvec import (
 from . import pbw
 from . import catalog as catalog_mod
 from . import qmoyal
-from .cohom import NotPoissonError, UnsupportedDegreeError, h_truncated
+from .cohom import NotPoissonError, h_truncated
 
 CONDUCTOR_CAP_VAR = "CROSSED_POISSON_MAX_CONDUCTOR"
 DEFAULT_CONDUCTOR_CAP = 256
@@ -739,8 +739,6 @@ def cmd_cohomology(args):
     except NotPoissonError as e:
         return 1, {"poisson": False, "invariant": e.report.invariant,
                    **_bracket_residues(e.report)}
-    except UnsupportedDegreeError as e:
-        raise InputError(str(e))
     group = pair.group
 
     def label_dims(dims):

@@ -6,16 +6,18 @@ action on directions (the wedge generators e_j) is by columns of G^-1, which
 keeps the pairing <x_i, e_j> invariant.
 
 Each element gamma carries a geometry: the fixed subspace V^gamma (directions
-gamma leaves in place), its orthogonal complement N^gamma under the
-group-averaged hermitian form, and the change of basis to the adapted
-coordinates used by projections and cohomology.
+gamma leaves in place), the normal space N^gamma = im(gamma - 1) of the
+directions it moves, and the change of basis to the adapted coordinates used
+by projections and cohomology.  A finite group is unitary for some invariant
+hermitian form, so N^gamma is the orthogonal complement of V^gamma under any
+such form, and the two spaces together span the whole space.
 """
 
 from __future__ import annotations
 
 import re
 
-from .scalars import Cyclotomic, Q
+from .scalars import Cyclotomic
 from . import linalg
 from .polyvec import LinearSubstitution
 
@@ -25,16 +27,11 @@ class GroupOrderError(RuntimeError):
 
 
 class GeometryError(RuntimeError):
-    """Fixed/normal decomposition failed (degenerate averaged form)."""
+    """Fixed/normal decomposition failed (singular adapted basis)."""
 
 
 def _as_matrix(rows, M):
     return tuple(tuple(Cyclotomic.of(M, a) for a in row) for row in rows)
-
-
-def _conj_transpose(A):
-    n = len(A)
-    return [[A[j][i].conjugate() for j in range(n)] for i in range(n)]
 
 
 class ElementGeometry:
@@ -120,12 +117,8 @@ class MatrixGroup:
         self._geometry: dict[int, ElementGeometry] = {}
         self._substitutions: dict[int, LinearSubstitution] = {}
         self._classes = None
-        self._hermitian = None
 
     # -- basics ---------------------------------------------------------------
-
-    def __len__(self):
-        return len(self.elements)
 
     def __eq__(self, other):
         # same matrices in the same enumeration order, so label indices agree
@@ -219,22 +212,6 @@ class MatrixGroup:
 
     # -- geometry ---------------------------------------------------------------
 
-    def hermitian_form(self):
-        """Group-averaged hermitian form H = (1/|G|) sum conj(g)^T g."""
-        if self._hermitian is None:
-            m = self.dim
-            zero = Cyclotomic.zero(self.M)
-            H = [[zero for _ in range(m)] for _ in range(m)]
-            for g in self.elements:
-                gt = _conj_transpose(g)
-                prod = linalg.mat_mul(gt, [list(r) for r in g])
-                for i in range(m):
-                    for j in range(m):
-                        H[i][j] = H[i][j] + prod[i][j]
-            scale = Cyclotomic.rational(self.M, Q(1, len(self.elements)))
-            self._hermitian = [[a * scale for a in row] for row in H]
-        return self._hermitian
-
     def geometry(self, i):
         geo = self._geometry.get(i)
         if geo is not None:
@@ -245,16 +222,9 @@ class MatrixGroup:
         one = Cyclotomic.one(M)
         GmI = [[G[r][c] - (one if r == c else 0) for c in range(m)] for r in range(m)]
         fixed = linalg.kernel_basis(GmI, m, M)
-        H = self.hermitian_form()
-        rows = []
-        for w in fixed:
-            wbar = [a.conjugate() for a in w]
-            rows.append(linalg.mat_vec([list(col) for col in zip(*H)], wbar))
-        normal = linalg.kernel_basis(rows, m, M)
-        if len(fixed) + len(normal) != m:
-            raise GeometryError(
-                f"fixed+normal dimensions {len(fixed)}+{len(normal)} != {m} "
-                f"for element {self.word_str(i)}")
+        # the image of gamma - 1 is what its left kernel annihilates
+        left = linalg.kernel_basis([list(col) for col in zip(*GmI)], m, M)
+        normal = linalg.kernel_basis(left, m, M)
         cols = fixed + normal
         basis = [[cols[j][r] for j in range(m)] for r in range(m)]
         try:

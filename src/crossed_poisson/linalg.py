@@ -15,8 +15,8 @@ variables at zero is the one the reduced row echelon form gives.
 
 A linear system is a list of sparse rows {column: value} with a sparse
 right-hand side {row: value}; solve reads it as it is.  Dense matrices (lists
-of lists) appear only in the small m x m helpers rank, kernel_basis, mat_inv,
-mat_mul and mat_vec, whose callers hold group and form matrices.
+of lists) appear only in the small m x m helpers rank, kernel_basis, mat_inv
+and mat_mul, whose callers hold group and basis matrices.
 """
 
 from __future__ import annotations
@@ -109,18 +109,6 @@ def mat_mul(A, B):
                     s = s + a * B[t][j]
             row.append(s)
         out.append(row)
-    return out
-
-
-def mat_vec(A, v):
-    zero = Cyclotomic.zero(v[0].M) if v else None
-    out = []
-    for row in A:
-        s = zero
-        for a, x in zip(row, v):
-            if a and x:
-                s = s + a * x
-        out.append(s)
     return out
 
 

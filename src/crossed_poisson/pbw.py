@@ -481,9 +481,8 @@ def _wedge_basis_at_label(group, gi):
 
     At the identity this is all of the second exterior power; at any other
     label it is the second exterior power of the normal space, which is where
-    flatness forces a nonzero constant part to live (the nonfixed directions
-    are the orthogonal complement of the fixed space under the averaged
-    hermitian form).
+    flatness forces a nonzero constant part to live (the normal space is the
+    image of the element minus the identity, the directions it moves).
     """
     vectors = group.matrix(0) if gi == 0 else group.geometry(gi).normal
     fields = (PolyVectorField.wedge2(group, gi, u, v)

@@ -1,15 +1,15 @@
 """Reference routines that only the tests call.
 
-These are independent cross-checks and small conveniences: closed forms of
-the q-difference calculus, the antilinear reality involution, class counts
-by codimension, the literature count of flat constant deformations, the
-degree-0 cohomology comparison, dense matrix helpers, a Fraction-only model
-of cyclotomic arithmetic, a slot-by-slot evaluator of the trilinear bracket,
-the label-wise projection as a transform, a filter and a transform back,
-the rewriting of words and critical overlaps without a memo, the
-constant-correction system over every group element, kernels and
-inverses read off the reduced echelon form, and the cohomology basis
-seeded at every label.
+These are independent cross-checks and small conveniences: closed forms of the
+q-difference calculus, the antilinear reality involution, class counts by
+codimension, the literature count of flat constant deformations, the degree-0
+cohomology comparison, dense matrix helpers, the normal space as the
+complement under the group-averaged hermitian form, a Fraction-only model of
+cyclotomic arithmetic, a slot-by-slot evaluator of the trilinear bracket, the
+label-wise projection as a transform, a filter and a transform back, the
+rewriting of words and critical overlaps without a memo, the
+constant-correction system over every group element, kernels and inverses read
+off the reduced echelon form, and the cohomology basis seeded at every label.
 The engine does not use them, so they live beside the tests instead of in
 the package.
 """
@@ -20,7 +20,14 @@ from itertools import combinations
 
 from crossed_poisson.cohom import _monomials, h_truncated
 from crossed_poisson.groups import GeometryError
-from crossed_poisson.linalg import Span, _echelon, _sparse, add_into, solve
+from crossed_poisson.linalg import (
+    Span,
+    _echelon,
+    _sparse,
+    add_into,
+    kernel_basis,
+    solve,
+)
 from crossed_poisson.pbw import (
     DeformedAlgebra,
     SolveBResult,
@@ -219,6 +226,42 @@ def reference_mat_inv(A, M):
 
 def centralizer(group, i):
     return [g for g in range(group.order) if group.mul[g][i] == group.mul[i][g]]
+
+
+@lru_cache(maxsize=None)
+def averaged_hermitian_form(group):
+    """H = (1/|G|) sum conj(g)^T g, under which every element is unitary."""
+    m, M = group.dim, group.M
+    zero = Cyclotomic.zero(M)
+    scale = Cyclotomic.rational(M, Q(1, group.order))
+    H = []
+    for r in range(m):
+        row = []
+        for c in range(m):
+            s = sum((g[k][r].conjugate() * g[k][c]
+                     for g in group.elements for k in range(m)), zero)
+            row.append(s * scale)
+        H.append(row)
+    return H
+
+
+def gamma_minus_one(group, i):
+    """The rows of the matrix of element i minus the identity."""
+    G, one = group.matrix(i), Cyclotomic.one(group.M)
+    return [[a - (one if r == c else 0) for c, a in enumerate(row)]
+            for r, row in enumerate(G)]
+
+
+def reference_normal(group, i):
+    """N^gamma as the complement of the fixed space under the averaged
+    hermitian form: the kernel of the rows conj(w)^T H, w in the fixed space."""
+    m, M = group.dim, group.M
+    zero = Cyclotomic.zero(M)
+    H = averaged_hermitian_form(group)
+    rows = [[sum((w[r].conjugate() * H[r][c] for r in range(m)), zero)
+             for c in range(m)]
+            for w in kernel_basis(gamma_minus_one(group, i), m, M)]
+    return kernel_basis(rows, m, M)
 
 
 def codim_class_counts(group):

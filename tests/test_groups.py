@@ -4,7 +4,15 @@ from conftest import permutation_group_on_doubled_space
 from crossed_poisson.scalars import Cyclotomic, root_of_unity
 from crossed_poisson import catalog, linalg
 from crossed_poisson.groups import GroupOrderError, generate
-from oracles import centralizer, codim_class_counts, identity_matrix, mat_eq
+from oracles import (
+    averaged_hermitian_form,
+    centralizer,
+    codim_class_counts,
+    gamma_minus_one,
+    identity_matrix,
+    mat_eq,
+    reference_normal,
+)
 
 
 def z2_group(M=4):
@@ -91,11 +99,39 @@ def test_words_round_trip():
         f"g0^{1000000000001 % G.order}")
 
 
-def test_averaged_form_is_identity_for_unitary_groups():
+def _non_orthogonal_groups():
+    """Groups whose averaged hermitian form is not the identity, so their
+    normal spaces are not the euclidean complements of the fixed spaces."""
+    def blocks(a, b):
+        return [ra + [0, 0] for ra in a] + [[0, 0] + rb for rb in b]
+
+    swap, turn = [[0, 1], [1, 0]], [[0, -1], [1, -1]]
+    return [
+        generate([swap, turn], 1),   # S3 in the basis of the A2 roots
+        generate([blocks(swap, swap), blocks(turn, [[-1, 1], [-1, 0]])], 1),
+        generate([[[1, 1], [0, -1]]], 1),
+        generate([[[0, -1], [1, 1]]], 6),
+    ]
+
+
+def test_normal_space_is_the_image_of_gamma_minus_one():
     G = gamma1_group()
-    H = G.hermitian_form()
-    ident = identity_matrix(G.M, G.dim)
-    assert mat_eq(H, ident)
+    assert mat_eq(averaged_hermitian_form(G), identity_matrix(G.M, G.dim))
+    skewed = _non_orthogonal_groups()
+    for G in skewed:
+        assert not mat_eq(averaged_hermitian_form(G), identity_matrix(G.M, G.dim))
+    groups = [permutation_group_on_doubled_space(n, signed)
+              for n, signed in ((3, False), (4, False), (2, True), (3, True))]
+    groups += [catalog.gamma_n_family(n, 1).group for n in (1, 2)]
+    groups += [catalog.cyclic_qmoyal(n).group for n in (3, 6)]
+    for G in groups + skewed:
+        for i in range(G.order):
+            normal = G.geometry(i).normal
+            assert normal == reference_normal(G, i)
+            columns = [list(col) for col in zip(*gamma_minus_one(G, i))]
+            image_rank = linalg.rank(columns)
+            for v in normal:
+                assert linalg.rank(columns + [v]) == image_rank
 
 
 def test_order_bound_enforced():
