@@ -93,8 +93,7 @@ def _class_constants(group, c):
     """
     M = group.M
     if not isinstance(c, dict):
-        v = Cyclotomic.of(M, c)
-        return {g: v for g in range(group.order) if group.codim(g) == 2}
+        c = {cls[0]: c for cls in group.conjugacy_classes()}
     resolved = {}
     for key, raw in c.items():
         if isinstance(key, str):

@@ -903,24 +903,27 @@ def build_parser():
     return parser
 
 
+def _text_invariance_failure(data):
+    return [f"invariance: fail ({data['error']})"]
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    lines = None
+    text = args.text
     try:
         code, data = args.handler(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InvarianceError as e:
-        # the message is shown in text only; JSON carries the bare verdict
-        code, data = 1, {"invariant": False}
-        lines = [f"invariance: fail ({e})"]
+        code, data = 1, {"invariant": False, "error": str(e)}
+        text = _text_invariance_failure
     # catalog emits a structure file, which is the same in either format
     if args.format == "json" and args.command != "catalog":
         print(json.dumps({"command": args.command, **data}, indent=2,
                          sort_keys=True))
     else:
-        print("\n".join(lines if lines is not None else args.text(data)))
+        print("\n".join(text(data)))
     return code
 
 

@@ -5,19 +5,18 @@ functions: g sends the i-th coordinate x_i to sum_j G[i][j] x_j.  The induced
 action on directions (the wedge generators e_j) is by columns of G^-1, which
 keeps the pairing <x_i, e_j> invariant.
 
-Each element gamma carries a geometry: the fixed subspace V^gamma (directions
-gamma leaves in place), the normal space N^gamma = im(gamma - 1) of the
-directions it moves, and the change of basis to the adapted coordinates used
-by projections and cohomology.  A finite group is unitary for some invariant
-hermitian form, so N^gamma is the orthogonal complement of V^gamma under any
-such form, and the two spaces together span the whole space.
+Each element gamma carries a geometry: the normal space N^gamma =
+im(gamma - 1) of the directions it moves, its dimension (the codimension of
+the fixed subspace V^gamma), and the projector P = (1/|gamma|) sum_k gamma^k
+onto V^gamma along N^gamma.  For an element of finite order the two spaces
+are complementary, and P is what projections and cohomology restrict by.
 """
 
 from __future__ import annotations
 
 import re
 
-from .scalars import Cyclotomic
+from .scalars import Cyclotomic, Q
 from . import linalg
 from .polyvec import LinearSubstitution
 
@@ -26,27 +25,21 @@ class GroupOrderError(RuntimeError):
     """Generated group exceeded the configured order bound."""
 
 
-class GeometryError(RuntimeError):
-    """Fixed/normal decomposition failed (singular adapted basis)."""
-
-
 def _as_matrix(rows, M):
     return tuple(tuple(Cyclotomic.of(M, a) for a in row) for row in rows)
 
 
 class ElementGeometry:
-    __slots__ = ("codim", "fixed", "normal", "basis", "basis_inv",
-                 "to_adapted", "from_adapted")
+    __slots__ = ("codim", "normal", "projector", "projection")
 
-    def __init__(self, codim, fixed, normal, basis, basis_inv):
-        self.codim = codim
-        self.fixed = fixed          # list of coordinate vectors spanning V^gamma
-        self.normal = normal        # list spanning N^gamma
-        self.basis = basis          # columns: fixed then normal
-        self.basis_inv = basis_inv
-        # the substitutions into the adapted coordinates and back
-        self.to_adapted = LinearSubstitution(basis, basis_inv)
-        self.from_adapted = LinearSubstitution(basis_inv, basis)
+    def __init__(self, normal, projector, complement):
+        self.codim = len(normal)
+        self.normal = normal            # list spanning N^gamma
+        self.projector = projector      # P, onto V^gamma along N^gamma
+        # x_i to row i of P, e_s to column s of P and of Q = 1 - P, keeping
+        # the part with exactly codim factors from Q: the projection of pr
+        self.projection = LinearSubstitution(projector, projector,
+                                             complement, self.codim)
 
 
 class MatrixGroup:
@@ -219,21 +212,22 @@ class MatrixGroup:
         m = self.dim
         M = self.M
         G = self.elements[i]
-        one = Cyclotomic.one(M)
-        GmI = [[G[r][c] - (one if r == c else 0) for c in range(m)] for r in range(m)]
-        fixed = linalg.kernel_basis(GmI, m, M)
+        zero, one = Cyclotomic.zero(M), Cyclotomic.one(M)
         # the image of gamma - 1 is what its left kernel annihilates
-        left = linalg.kernel_basis([list(col) for col in zip(*GmI)], m, M)
+        GmIt = [[G[r][c] - (one if r == c else 0) for r in range(m)]
+                for c in range(m)]
+        left = linalg.kernel_basis(GmIt, m, M)
         normal = linalg.kernel_basis(left, m, M)
-        cols = fixed + normal
-        basis = [[cols[j][r] for j in range(m)] for r in range(m)]
-        try:
-            basis_inv = linalg.mat_inv(basis, M)
-        except ValueError as exc:
-            raise GeometryError(
-                f"adapted basis singular for element {self.word_str(i)}") from exc
-        geo = ElementGeometry(m - len(fixed), fixed, normal, basis, basis_inv)
-        self._geometry[i] = geo
+        # P is the average of the powers of gamma, read off the table
+        powers = [0]
+        while self.mul[powers[-1]][i]:
+            powers.append(self.mul[powers[-1]][i])
+        scale = Cyclotomic.rational(M, Q(1, len(powers)))
+        P = [[sum((self.elements[k][r][c] for k in powers), zero) * scale
+              for c in range(m)] for r in range(m)]
+        comp = [[(one if r == c else zero) - P[r][c] for c in range(m)]
+                for r in range(m)]
+        geo = self._geometry[i] = ElementGeometry(normal, P, comp)
         return geo
 
     def codim(self, i):

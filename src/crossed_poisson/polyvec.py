@@ -74,24 +74,6 @@ def wedge_insert(k, w):
     return sign, tuple(sorted(w + (k,)))
 
 
-def _det(rows, M):
-    n = len(rows)
-    if n == 0:
-        return Cyclotomic.one(M)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    out = Cyclotomic.zero(M)
-    for j in range(n):
-        a = rows[0][j]
-        if a:
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            term = a * _det(minor, M)
-            out = out + term if j % 2 == 0 else out - term
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the field container
 # ---------------------------------------------------------------------------
@@ -177,23 +159,30 @@ class LinearSubstitution:
     """The linear change of variables x_i -> row i of poly_mat and
     e_i -> column i of wedge_mat, with memoized images.
 
+    With a second wedge matrix normal_mat and a count c, e_i goes to column i
+    of wedge_mat plus column i of normal_mat, and a wedge keeps only the part
+    that takes exactly c of its factors from normal_mat.
+
     monomial(expo) is the image of x^expo, built as monomial(expo - e_i)
     times the linear form of x_i for the last variable i that expo uses, and
-    wedge(w) maps each sorted wedge T to the minor of wedge_mat on rows T and
-    columns w, skipping the row sets T that hold a row zero on w.  The
-    returned dictionaries are shared between callers and must not be
-    mutated.
+    wedge(w) is the image of e_w, built one factor at a time from the right,
+    with its wedges in sorted order.  The returned dictionaries are shared
+    between callers and must not be mutated.
     """
 
-    __slots__ = ("M", "lin", "wedge_mat", "_monomials", "_wedges")
+    __slots__ = ("M", "lin", "columns", "count", "_monomials", "_wedges")
 
-    def __init__(self, poly_mat, wedge_mat):
+    def __init__(self, poly_mat, wedge_mat, normal_mat=None, count=0):
         m = len(poly_mat)
         self.M = poly_mat[0][0].M
         units = [tuple(int(j == k) for k in range(m)) for j in range(m)]
         self.lin = [{units[j]: a for j, a in enumerate(row) if a}
                     for row in poly_mat]
-        self.wedge_mat = wedge_mat
+        # columns[j][s]: the nonzero entries (t, a) of column s of matrix j
+        mats = (wedge_mat,) if normal_mat is None else (wedge_mat, normal_mat)
+        self.columns = [[[(t, a) for t, a in enumerate(col) if a]
+                         for col in zip(*mat)] for mat in mats]
+        self.count = count
         self._monomials = {_zero_expo(m): {_zero_expo(m): Cyclotomic.one(self.M)}}
         self._wedges = {}
 
@@ -208,15 +197,23 @@ class LinearSubstitution:
     def wedge(self, w):
         imgs = self._wedges.get(w)
         if imgs is None:
-            imgs = self._wedges[w] = {}
-            mat = self.wedge_mat
-            # a minor with a zero row vanishes, so T is drawn from the rows
-            # with an entry in some column of w, in the order of all row sets
-            live = [t for t, row in enumerate(mat) if any(row[s] for s in w)]
-            for T in combinations(live, len(w)):
-                d = _det([[mat[t][s] for s in w] for t in T], self.M)
-                if d:
-                    imgs[T] = d
+            # parts[(T, k)]: the image of the factors after position pos,
+            # k of them taken from the second matrix
+            parts = {((), 0): Cyclotomic.one(self.M)}
+            for pos in range(len(w) - 1, -1, -1):
+                grown = {}
+                for (T, k), c in parts.items():
+                    for j, cols in enumerate(self.columns):
+                        # pos factors are still to come, so the count is reachable
+                        if not k + j <= self.count <= k + j + pos:
+                            continue
+                        for t, a in cols[w[pos]]:
+                            sign, T2 = wedge_insert(t, T)
+                            if T2 is not None:
+                                v = c * a
+                                add_into(grown, (T2, k + j), v if sign > 0 else -v)
+                parts = grown
+            imgs = self._wedges[w] = {T: c for (T, _), c in sorted(parts.items())}
         return imgs
 
 
@@ -478,17 +475,17 @@ def gen_bracket_b_pi(pair):
 
 def pr(X):
     """Project each label's component onto restricted coefficients and the
-    full normal wedge: in coordinates adapted to V^gamma + N^gamma, keep only
-    terms whose polynomial part uses fixed coordinates exclusively and whose
-    wedge contains every normal direction.
+    full normal wedge.
 
-    Two shortcuts give the same terms without the transforms: at a label of
-    codimension 0 (the identity) the adapted coordinates are the coordinates
-    and every term is kept, so the terms pass through unchanged; at the other
-    labels a term whose wedge is shorter than the codimension cannot contain
-    the normal wedge, so it is dropped before any transform."""
+    With P the projector onto V^gamma along N^gamma and Q = 1 - P, a term
+    x^e (x) e_w at a label of codimension c goes to (x^e o P) (x) the part of
+    e_w, each e_s sent to column s of P plus column s of Q, that takes exactly
+    c factors from Q: the polynomial restricted to the fixed space, times the
+    wedge's component along the full normal wedge.  At codimension 0 (the
+    identity) P is the identity, so the terms pass through unchanged; a term
+    whose wedge is shorter than the codimension has no such part, so it is
+    dropped before any substitution."""
     group = X.group
-    m = group.dim
     by_label = {}
     for key, c in X.terms.items():
         by_label.setdefault(key[0], []).append((key, c))
@@ -499,12 +496,7 @@ def pr(X):
             out.update(items)
             continue
         items = [(key, c) for key, c in items if len(key[2]) >= geo.codim]
-        s = m - geo.codim
-        normal = frozenset(range(s, m))
-        ad = _transform_terms(items, geo.to_adapted, lambda g: g)
-        keep = [(key, c) for key, c in ad.items()
-                if not any(key[1][s:]) and normal <= frozenset(key[2])]
-        out.update(_transform_terms(keep, geo.from_adapted, lambda g: g))
+        out.update(_transform_terms(items, geo.projection, lambda g: g))
     return X._like(out)
 
 

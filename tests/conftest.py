@@ -26,6 +26,23 @@ def gamma1_group():
     return generate([alpha, beta], M)
 
 
+# non-monomial groups, whose averaged hermitian form is not the identity, so the
+# normal space of an element need not be the euclidean complement of its fixed
+# space
+
+def s3_on_a2_roots():
+    """S3 in the basis of the A2 roots."""
+    return generate([[[0, 1], [1, 0]], [[0, -1], [1, -1]]], 1)
+
+
+def shear_reflection_group():
+    return generate([[[1, 1], [0, -1]]], 1)
+
+
+def order6_rotation_group():
+    return generate([[[0, -1], [1, 1]]], 6)
+
+
 def permutation_group_on_doubled_space(n, signed):
     """S_n, or with signed=True the signed permutations B_n, acting on
     C^n + C^n by one matrix on both summands.  These matrices are

@@ -19,7 +19,6 @@ from functools import lru_cache
 from itertools import combinations
 
 from crossed_poisson.cohom import _monomials, h_truncated
-from crossed_poisson.groups import GeometryError
 from crossed_poisson.linalg import (
     Span,
     _echelon,
@@ -38,6 +37,7 @@ from crossed_poisson.pbw import (
 from crossed_poisson.polyvec import (
     BracketEngine,
     InvarianceError,
+    LinearSubstitution,
     PolyVectorField,
     StructurePair,
     UnsupportedStructureError,
@@ -270,7 +270,7 @@ def codim_class_counts(group):
     for cls in group.conjugacy_classes():
         cds = {group.codim(i) for i in cls}
         if len(cds) != 1:
-            raise GeometryError("codimension not constant on a class")
+            raise AssertionError("codimension not constant on a class")
         cd = cds.pop()
         counts[cd] = counts.get(cd, 0) + 1
     return counts
@@ -503,9 +503,21 @@ def reference_bracket(inner, outer):
 
 # -- the label-wise projection, transform by transform --------------------------------
 #
-# The engine's pr passes identity-label terms through and drops short wedges
-# before transforming.  This is the projection without those shortcuts:
-# every term into adapted coordinates, a filter, and back.
+# The engine's pr substitutes the projector onto the fixed space, passes
+# identity-label terms through and drops short wedges.  This is the projection
+# as a change of basis: every term into coordinates adapted to the fixed and
+# normal spaces, a filter, and back.
+
+def adapted_basis(group, gi):
+    """(s, B, B^-1): the columns of B are a basis of V^gamma, of dimension s,
+    then one of N^gamma.  The fixed space is the kernel of gamma - 1, the
+    normal space its complement under the averaged hermitian form."""
+    m, M = group.dim, group.M
+    fixed = kernel_basis(gamma_minus_one(group, gi), m, M)
+    cols = fixed + reference_normal(group, gi)
+    basis = [[cols[j][r] for j in range(m)] for r in range(m)]
+    return len(fixed), basis, reference_mat_inv(basis, M)
+
 
 def reference_pr(X):
     """Project each label's component onto restricted coefficients and the
@@ -519,13 +531,14 @@ def reference_pr(X):
         by_label.setdefault(key[0], []).append((key, c))
     out = {}
     for gi, items in by_label.items():
-        geo = group.geometry(gi)
-        s = m - geo.codim
+        s, basis, basis_inv = adapted_basis(group, gi)
         normal = frozenset(range(s, m))
-        ad = _transform_terms(items, geo.to_adapted, lambda g: g)
+        ad = _transform_terms(items, LinearSubstitution(basis, basis_inv),
+                              lambda g: g)
         keep = [(key, c) for key, c in ad.items()
                 if not any(key[1][s:]) and normal <= frozenset(key[2])]
-        out.update(_transform_terms(keep, geo.from_adapted, lambda g: g))
+        out.update(_transform_terms(keep, LinearSubstitution(basis_inv, basis),
+                                    lambda g: g))
     return X._like(out)
 
 

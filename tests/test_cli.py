@@ -385,10 +385,13 @@ def test_solve_b_reports_non_invariant_pi(invoke):
            "structure": [{"label": "e", "poly": "x0", "wedge": [0, 1],
                           "coeff": "1"}],
            "hbar_weights": [1, 2]}
+    # both formats carry the same message
+    message = "linear part pi is not group-invariant"
     code, out, err = invoke(["solve-b"], stdin=json.dumps(doc))
     assert code == 1 and err == ""
-    assert out.startswith("invariance: fail (")
+    assert out == f"invariance: fail ({message})\n"
     code, out, _ = invoke(["solve-b", "--format", "json"],
                           stdin=json.dumps(doc))
     assert code == 1
-    assert json.loads(out) == {"command": "solve-b", "invariant": False}
+    assert json.loads(out) == {"command": "solve-b", "invariant": False,
+                               "error": message}

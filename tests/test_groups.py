@@ -1,6 +1,11 @@
 import pytest
 
-from conftest import permutation_group_on_doubled_space
+from conftest import (
+    order6_rotation_group,
+    permutation_group_on_doubled_space,
+    s3_on_a2_roots,
+    shear_reflection_group,
+)
 from crossed_poisson.scalars import Cyclotomic, root_of_unity
 from crossed_poisson import catalog, linalg
 from crossed_poisson.groups import GroupOrderError, generate
@@ -38,7 +43,8 @@ def test_z2_basics():
     assert codim_class_counts(G) == {0: 1, 2: 1}
     geo = G.geometry(1)
     assert geo.codim == 2
-    assert geo.fixed == []
+    # the fixed space is zero, so the projector onto it is too
+    assert all(not a for row in geo.projector for a in row)
     assert len(geo.normal) == 2
 
 
@@ -70,7 +76,15 @@ def test_gamma1_reflection_geometry():
     zero = Cyclotomic.zero(M)
     assert in_span(geo.normal, [one, -one, zero, zero])
     assert in_span(geo.normal, [zero, zero, one, -one])
-    assert in_span(geo.fixed, [one, one, zero, zero])
+    # the projector onto the fixed space keeps the line z1 = z2, zbar1 =
+    # zbar2 and kills the normal space
+    def project(v):
+        return [row[0] for row in linalg.mat_mul(geo.projector, [[a] for a in v])]
+
+    assert project([one, one, zero, zero]) == [one, one, zero, zero]
+    assert project([zero, zero, one, one]) == [zero, zero, one, one]
+    for v in geo.normal:
+        assert not any(project(v))
 
 
 def test_mul_table_matches_matrix_products():
@@ -107,10 +121,10 @@ def _non_orthogonal_groups():
 
     swap, turn = [[0, 1], [1, 0]], [[0, -1], [1, -1]]
     return [
-        generate([swap, turn], 1),   # S3 in the basis of the A2 roots
+        s3_on_a2_roots(),
         generate([blocks(swap, swap), blocks(turn, [[-1, 1], [-1, 0]])], 1),
-        generate([[[1, 1], [0, -1]]], 1),
-        generate([[[0, -1], [1, 1]]], 6),
+        shear_reflection_group(),
+        order6_rotation_group(),
     ]
 
 

@@ -26,11 +26,25 @@ from crossed_poisson.polyvec import (
     schouten,
     wedge_insert,
     wedge_sort,
-    _det,
 )
 
-from conftest import gamma1_group, random_pvf, trivial_group, z2_group
-from oracles import ReferenceBracket, conjugate_swap, is_real, p_scale, reference_bracket
+from conftest import (
+    gamma1_group,
+    order6_rotation_group,
+    random_pvf,
+    s3_on_a2_roots,
+    shear_reflection_group,
+    trivial_group,
+    z2_group,
+)
+from oracles import (
+    ReferenceBracket,
+    adapted_basis,
+    conjugate_swap,
+    is_real,
+    p_scale,
+    reference_bracket,
+)
 
 
 def test_wedge_utilities():
@@ -99,7 +113,7 @@ def test_orbit_sum_is_the_sum_of_the_moved_fields():
 
 def _plain_transform(group, terms, poly_mat, wedge_mat, label_map):
     """x_i -> row i of poly_mat by repeated p_mul, e_i -> column i of
-    wedge_mat by the determinant of each minor, with nothing kept."""
+    wedge_mat by the Leibniz determinant of each minor, with nothing kept."""
     m, M = group.dim, group.M
     units = [tuple(int(j == k) for k in range(m)) for j in range(m)]
     lin = [{units[j]: a for j, a in enumerate(row) if a} for row in poly_mat]
@@ -110,7 +124,7 @@ def _plain_transform(group, terms, poly_mat, wedge_mat, label_map):
             for _ in range(p):
                 poly = p_mul(poly, lin[i])
         for T in combinations(range(m), len(wedge)):
-            d = _det([[wedge_mat[t][s] for s in wedge] for t in T], M)
+            d = _leibniz_minor(wedge_mat, T, wedge, M)
             out = out + PolyVectorField(
                 group, {(label_map(gi), e, T): pc * d for e, pc in poly.items()})
     return out
@@ -135,14 +149,12 @@ def _plain_pr(X):
     m = G.dim
     out = PolyVectorField.zero(G)
     for gi in X.labels():
-        geo = G.geometry(gi)
-        s = m - geo.codim
-        ad = _plain_transform(G, X.restrict_label(gi).terms, geo.basis,
-                              geo.basis_inv, lambda g: g)
+        s, basis, basis_inv = adapted_basis(G, gi)
+        ad = _plain_transform(G, X.restrict_label(gi).terms, basis, basis_inv,
+                              lambda g: g)
         keep = {(g, e, w): c for (g, e, w), c in ad.terms.items()
                 if not any(e[s:]) and set(range(s, m)) <= set(w)}
-        out = out + _plain_transform(G, keep, geo.basis_inv, geo.basis,
-                                     lambda g: g)
+        out = out + _plain_transform(G, keep, basis_inv, basis, lambda g: g)
     return out
 
 
@@ -150,7 +162,11 @@ def flip_group():
     return generate([[[-1, 0, 0], [0, -1, 0], [0, 0, 1]]], 4)
 
 
-@pytest.mark.parametrize("make_group", [gamma1_group, z2_group, flip_group])
+# the last three are not monomial; on the first two of them the projector onto
+# a fixed space is not the euclidean orthogonal one
+@pytest.mark.parametrize("make_group", [gamma1_group, z2_group, flip_group,
+                                        s3_on_a2_roots, shear_reflection_group,
+                                        order6_rotation_group])
 def test_memoized_transforms_match_plain_loop(make_group):
     G = make_group()
     rng = random.Random(G.order * 100 + G.dim)
@@ -163,11 +179,11 @@ def test_memoized_transforms_match_plain_loop(make_group):
 
 
 def test_flip_adapted_basis_is_not_the_identity():
-    # the reference test above needs pr to change coordinates at the flip
+    # the reference test above changes coordinates at the flip
     G = flip_group()
     one, zero = Cyclotomic.one(4), Cyclotomic.zero(4)
     ident = [[one if r == c else zero for c in range(3)] for r in range(3)]
-    assert [list(row) for row in G.geometry(1).basis] != ident
+    assert adapted_basis(G, 1)[1] != ident
 
 
 def test_memoized_images_are_not_shared_with_results():
@@ -509,8 +525,9 @@ def _leibniz_minor(mat, rows, cols, M):
 
 @pytest.mark.parametrize("kind", ["dense", "sparse", "monomial", "zero_column"])
 def test_wedge_minors_skip_zero_rows_and_keep_the_order_of_all_row_sets(kind):
-    # wedge draws its row sets T only from the rows with an entry in a column
-    # of w; the images must equal the minors over every T, in the same order
+    # wedge multiplies out the columns of w one at a time, skipping their zero
+    # entries; the images must equal the nonzero minors over every row set T,
+    # in the order of all row sets
     M, n = 4, 5
     rng = random.Random(kind)
 
