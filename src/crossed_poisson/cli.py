@@ -564,6 +564,8 @@ def _read_input(args):
 
 
 def _load_pair(args):
+    if args.max_group_order < 1:
+        raise InputError("--max-group-order must be a positive integer")
     return parse_structure_file(_read_input(args), max_group_order=args.max_group_order)
 
 

@@ -3,20 +3,20 @@
 Cochains live in the labeled representative spaces (restricted coefficients
 tensor tangent wedges tensor the full normal wedge, summed over group
 labels, then group-averaged).  The differential brackets a cochain with the
-structure field and projects back.  Everything is assembled degree by
-degree as exact matrices over Q(zeta_M), so kernels, images, and quotient
-dimensions are exact at any polynomial degree cap.
+structure field and projects back.  Kernels, images, and quotients come from
+exact sparse elimination over Q(zeta_M), at any polynomial degree cap.
 
 The cap bookkeeping: the structure fields in scope have linear or constant
 coefficients, so the differential never raises polynomial degree and lowers
 it by at most one.  To report cohomology through degree d it is enough to
 assemble every space through degree d + 1.
 
-The degree bookkeeping: H^k reads the cochain spaces of degrees k - 1, k and
-k + 1 and the maps between them, so h_truncated builds the complex only up
-to top = k + 1.  The relation d o d = 0 is asserted on every pair of built
-maps, and for top = 1, where only one map exists, by applying the
-differential once more to each of its images.
+The degree bookkeeping: the cocycles of degree k are the linear relations
+among the images of C^k's sources, which no choice of coordinates on C^{k+1}
+changes, so C^{k+1} is never built.  h_truncated builds C^{k-1} and C^k
+alone, the boundaries being the images of C^{k-1}.  The relation d o d = 0 is
+asserted on the composite C^{k-1} -> C^k -> C^{k+1} through C^k's span, and
+at k = 0 by applying the differential once more to each image of C^0.
 """
 
 from __future__ import annotations
@@ -68,46 +68,61 @@ def _monomials(m, cap):
 _NOT_SQUARE_ZERO = "the assembled differential does not square to zero"
 
 
+def _combine(group, fields, combo):
+    """The field sum of c * fields[idx] over the (idx, c) pairs of combo."""
+    terms = {}
+    for idx, c in combo:
+        for key, v in fields[idx].terms.items():
+            add_into(terms, key, v * c)
+    return PolyVectorField(group, terms)
+
+
 class TruncatedComplex:
-    """Exact matrices of the structure differential through cochain degree top.
+    """The two cochain spaces H^k reads at cap d, with the differential of
+    each of their fields.
 
-    bases[j] lists the representative fields spanning the degree-j cochain
-    space through the polynomial cap, for j = 0 .. top; matrices[j] holds the
-    differential C^j -> C^{j+1} column by column as {row: coeff}
-    dictionaries, for j = 0 .. top - 1.  The default top = 3 builds the whole
-    complex; cohomology(k, d) needs top >= k + 1.
+    bases lists the representative fields of C^{k-1} (when k > 0) and then
+    those of C^k, both through the polynomial cap d + 1, at which C^k holds
+    every image of C^{k-1}; degrees and images run alongside, giving each
+    field's polynomial degree and its differential.
 
-    Building the complex asserts d o d = 0: on matrices j and j + 1 for every
-    j < top - 1, and for top = 1 by applying the differential to each
-    nonzero image of bases[0], which needs no basis in degree 2.
+    Building the complex asserts d o d = 0 on the composite H^k reads: for
+    k > 0 each image of C^{k-1} is written over C^k's span and the same
+    combination of C^k's images must vanish; for k = 0 the differential is
+    applied to each image of C^0.
     """
 
-    def __init__(self, pair, poly_cap, top=3):
-        if not 1 <= top <= 3:
-            raise UnsupportedDegreeError("the complex is built through degree 1, 2, or 3")
+    def __init__(self, pair, k, d):
+        if not 0 <= k <= 2:
+            raise UnsupportedDegreeError("cochain degree must be 0, 1, or 2")
         report = is_poisson(pair)
         if not report.ok:
             raise NotPoissonError(report)
         self.pair = pair
         self.group = pair.group
-        self.poly_cap = poly_cap
-        self.top = top
-        self.bases = []
-        self.degrees = []
-        self._spans = []
-        for j in range(top + 1):
+        self.k = k
+        self.d = d
+        self.poly_cap = d + 1
+        self.bases, self.degrees, self.images = [], [], []
+        for j in range(max(k - 1, 0), k + 1):
             fields, degs, span = self._representative_basis(j)
             self.bases.append(fields)
             self.degrees.append(degs)
-            self._spans.append(span)
-        self._images = {}   # degree j: the differential of each field of bases[j]
-        self.matrices = [self._matrix(j) for j in range(top)]
-        for j in range(top - 1):
-            self._assert_square_zero(j)
-        if top == 1:
-            for img in self._images[0]:
+            self.images.append([poisson_differential(pair, f) for f in fields])
+        if k == 0:
+            for img in self.images[0]:
                 if not img.is_zero() and not poisson_differential(pair, img).is_zero():
                     raise RuntimeError(_NOT_SQUARE_ZERO)
+            return
+        # span is C^k's, the last one built
+        for img in self.images[0]:
+            if img.is_zero():
+                continue
+            combo = span.coordinates(img.terms)
+            if combo is None:
+                raise RuntimeError("differential left the assembled space")
+            if not _combine(self.group, self.images[1], combo).is_zero():
+                raise RuntimeError(_NOT_SQUARE_ZERO)
 
     def _representative_basis(self, j):
         group = self.group
@@ -140,66 +155,29 @@ class TruncatedComplex:
                         degs.append(sum(expo))
         return fields, degs, span
 
-    def _matrix(self, j):
-        target = self._spans[j + 1]
-        images = self._images[j] = [poisson_differential(self.pair, field)
-                                    for field in self.bases[j]]
-        cols = []
-        for img in images:
-            if img.is_zero():
-                cols.append({})
-                continue
-            combo = target.coordinates(img.terms)
-            if combo is None:
-                raise RuntimeError("differential left the assembled space")
-            cols.append(dict(combo))   # one entry per meta, each nonzero
-        return cols
-
-    def _assert_square_zero(self, j):
-        first, second = self.matrices[j], self.matrices[j + 1]
-        for col in first:
-            acc = {}
-            for row, c in col.items():
-                for row2, c2 in second[row].items():
-                    add_into(acc, row2, c * c2)
-            if acc:
-                raise RuntimeError(_NOT_SQUARE_ZERO)
-
-    def _field_from_source(self, j, combo):
-        out = PolyVectorField.zero(self.group)
-        for idx, c in combo:
-            out = out + self.bases[j][idx].scale(c)
-        return out
-
-    def cohomology(self, k, d):
+    def cohomology(self):
         """Kernel, image, and quotient data for cochain degree k through cap d."""
-        if not 0 <= k <= 2:
-            raise UnsupportedDegreeError("cochain degree must be 0, 1, or 2")
-        if k + 1 > self.top:
-            raise ValueError(f"degree {k} needs the complex through degree {k + 1}; "
-                             f"it was built through degree {self.top}")
-        if d > self.poly_cap - 1:
-            raise ValueError("cap exceeds the assembled window")
-        # cocycles among sources of degree <= d
-        kernel_fields = []
-        mat = self.matrices[k]
+        k, d = self.k, self.d
+        # cocycles among the C^k sources of degree <= d: the relations among
+        # their images, read off a span of (image terms, source tag) rows
         span = Span()
-        for idx, field in enumerate(self.bases[k]):
-            if self.degrees[k][idx] > d:
+        for idx, (img, deg) in enumerate(zip(self.images[-1], self.degrees[-1])):
+            if deg > d:
                 continue
-            col = {("img", r): c for r, c in mat[idx].items()}
+            col = {("img", key): c for key, c in img.terms.items()}
             col[("src", idx)] = Cyclotomic.one(self.group.M)
             span.insert(col)
+        kernel_fields = []
         for residue in span.rows():
             if any(tag == "img" for tag, _ in residue):
                 continue
             combo = [(idx, c) for (_tag, idx), c in residue.items()]
-            kernel_fields.append(self._field_from_source(k, combo))
+            kernel_fields.append(_combine(self.group, self.bases[-1], combo))
         # boundaries landing in degree <= d, from sources one degree higher
         image_fields = []
         if k > 0:
             high = Span()
-            for img in self._images[k - 1]:
+            for img in self.images[0]:
                 high.insert({("hi" if sum(key[1]) > d else "lo", key): c
                              for key, c in img.terms.items()})
             for residue in high.rows():
@@ -273,7 +251,4 @@ class CohomologyReport:
 
 def h_truncated(pair, k, d):
     """Cohomology of the structure differential at cochain degree k, cap d."""
-    if not 0 <= k <= 2:
-        raise UnsupportedDegreeError("cochain degree must be 0, 1, or 2")
-    return TruncatedComplex(pair, d + 1, top=k + 1).cohomology(k, d)
-
+    return TruncatedComplex(pair, k, d).cohomology()

@@ -9,16 +9,16 @@ cyclotomic arithmetic, a slot-by-slot evaluator of the trilinear bracket, the
 label-wise projection as a transform, a filter and a transform back, the
 rewriting of words and critical overlaps without a memo, the
 constant-correction system over every group element, kernels and inverses read
-off the reduced echelon form, and the cohomology basis seeded at every label.
-The engine does not use them, so they live beside the tests instead of in
-the package.
+off the reduced echelon form, the cohomology basis seeded at every label, and
+cohomology read off the coordinate matrices of the whole complex.  The engine
+does not use them, so they live beside the tests instead of in the package.
 """
 
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import combinations
 
-from crossed_poisson.cohom import _monomials, h_truncated
+from crossed_poisson.cohom import CohomologyReport, _monomials, h_truncated
 from crossed_poisson.linalg import (
     Span,
     _echelon,
@@ -46,6 +46,7 @@ from crossed_poisson.polyvec import (
     average,
     is_invariant,
     koszul_differential,
+    poisson_differential,
     pr,
     wedge_sort,
 )
@@ -690,8 +691,10 @@ def solve_b_against_reference(pair):
 # -- cohomology --------------------------------------------------------------------
 
 def reference_representative_basis(group, poly_cap, j):
-    """TruncatedComplex's degree-j basis, as (fields, degrees), seeded at every
-    label instead of at the class representatives only."""
+    """The degree-j cochain basis through poly_cap, as (fields, degrees),
+    seeded at every label; TruncatedComplex seeds its bases of degrees k - 1
+    and k at the class representatives only.  Any j from 0 to 3 is built,
+    so reference_cohomology has the whole complex."""
     m = group.dim
     fields, degs = [], []
     span = Span()
@@ -709,6 +712,70 @@ def reference_representative_basis(group, poly_cap, j):
                     fields.append(image._like(row))
                     degs.append(sum(expo))
     return fields, degs
+
+
+def _field(group, fields, col):
+    """The field sum of c * fields[row] over the entries {row: c} of col."""
+    terms = {}
+    for row, c in col.items():
+        for key, v in fields[row].terms.items():
+            add_into(terms, key, v * c)
+    return PolyVectorField(group, terms)
+
+
+def reference_cohomology(pair, k, d):
+    """h_truncated's report by the full route: C^0 .. C^3 through cap d + 1
+    from reference_representative_basis, each differential written as columns
+    {row: coeff} over the next space and checked to rebuild the bracket,
+    d o d = 0 checked on the columns, and the kernel read off them.  The
+    boundaries are the images of C^{k-1} whose terms lie in degree <= d; the
+    quotient representatives are the cocycles independent modulo them."""
+    group = pair.group
+    bases = [reference_representative_basis(group, d + 1, j) for j in range(4)]
+    images, matrices = [], []
+    for j in range(3):
+        target = Span()
+        for idx, field in enumerate(bases[j + 1][0]):
+            target.insert(field.terms, meta=idx)
+        imgs = [poisson_differential(pair, field) for field in bases[j][0]]
+        cols = []
+        for img in imgs:
+            combo = target.coordinates(img.terms)
+            assert combo is not None, f"the differential leaves C^{j + 1}"
+            cols.append(dict(combo))
+            assert _field(group, bases[j + 1][0], cols[-1]) == img
+        images.append(imgs)
+        matrices.append(cols)
+    for first, second in zip(matrices, matrices[1:]):
+        for col in first:
+            acc = {}
+            for row, c in col.items():
+                for row2, c2 in second[row].items():
+                    add_into(acc, row2, c * c2)
+            assert not acc, "the differential does not square to zero"
+    fields, degrees = bases[k]
+    span = Span()
+    for idx, col in enumerate(matrices[k]):
+        if degrees[idx] <= d:
+            vec = {("img", row): c for row, c in col.items()}
+            vec[("src", idx)] = Cyclotomic.one(group.M)
+            span.insert(vec)
+    kernel = [_field(group, fields, {idx: c for (_, idx), c in residue.items()})
+              for residue in span.rows() if all(tag == "src" for tag, _ in residue)]
+    image = []
+    if k > 0:
+        high = Span()
+        for img in images[k - 1]:
+            high.insert({("hi" if sum(key[1]) > d else "lo", key): c
+                         for key, c in img.terms.items()})
+        image = [PolyVectorField(group, {key: c for (_, key), c in residue.items()})
+                 for residue in high.rows()
+                 if all(tag == "lo" for tag, _ in residue)]
+    mod = Span()
+    for field in image:
+        mod.insert(field.terms)
+    representatives = [field for field in kernel if mod.insert(field.terms)]
+    return CohomologyReport(k, d, kernel, image, representatives)
 
 
 def compare_h0(pair, d):

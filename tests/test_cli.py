@@ -181,6 +181,15 @@ def test_group_order_guard():
         parse_structure_file(text, max_group_order=3)
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_group_order_bound_below_one_is_refused(invoke, bound):
+    text = emit_structure_file(catalog.gamma_n_family(1, 1).structure)
+    code, out, err = invoke(["check-bg", "--max-group-order", bound], stdin=text)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-group-order must be a positive integer\n"
+
+
 # -- subcommands ---------------------------------------------------------------
 
 def test_catalog_pipes_into_check_bg(invoke):
