@@ -134,16 +134,8 @@ def _unit_expo(m, k):
 # ---------------------------------------------------------------------------
 
 def _form_pairing(Omega, u, v):
-    M = Omega[0][0].M
-    total = Cyclotomic.zero(M)
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        for j, vj in enumerate(v):
-            if not vj:
-                continue
-            total = total + ui * Omega[i][j] * vj
-    return total
+    return sum((ui * Omega[i][j] * vj for i, ui in enumerate(u) if ui
+                for j, vj in enumerate(v) if vj), Cyclotomic.zero(Omega[0][0].M))
 
 
 def _inverse_bivector(group, Omega, label, vectors):

@@ -20,6 +20,7 @@ import json
 import os
 import re
 import sys
+from math import lcm
 
 from .scalars import Cyclotomic, HScalar, root_of_unity
 from . import groups
@@ -358,6 +359,13 @@ def _require(doc, key, kind, what):
     return value
 
 
+def _check_conductor(conductor):
+    cap = conductor_cap()
+    if conductor > cap:
+        raise InputError(f"conductor {conductor} exceeds the cap {cap} "
+                         f"(raise {CONDUCTOR_CAP_VAR} to allow it)")
+
+
 def parse_structure_file(text, max_group_order=DEFAULT_GROUP_ORDER_CAP):
     """Parse a JSON structure file into a validated StructurePair."""
     try:
@@ -370,10 +378,7 @@ def parse_structure_file(text, max_group_order=DEFAULT_GROUP_ORDER_CAP):
     conductor = _require(doc, "conductor", int, "a positive integer")
     if conductor < 1:
         raise InputError("field 'conductor' must be a positive integer")
-    cap = conductor_cap()
-    if conductor > cap:
-        raise InputError(f"conductor {conductor} exceeds the cap {cap} "
-                         f"(raise {CONDUCTOR_CAP_VAR} to allow it)")
+    _check_conductor(conductor)
     dim = _require(doc, "dimension", int, "a positive integer")
     if dim < 1:
         raise InputError("field 'dimension' must be a positive integer")
@@ -564,8 +569,6 @@ def _read_input(args):
 
 
 def _load_pair(args):
-    if args.max_group_order < 1:
-        raise InputError("--max-group-order must be a positive integer")
     return parse_structure_file(_read_input(args), max_group_order=args.max_group_order)
 
 
@@ -783,9 +786,18 @@ def _text_cohomology(data):
     return lines
 
 
+def _catalog_caps(args, order, conductor):
+    # refuse, before building it, an entry the reading subcommands would refuse
+    if order > args.max_group_order:
+        raise InputError(f"group order exceeds bound {args.max_group_order}")
+    _check_conductor(conductor)
+
+
 def _catalog_entry(args):
     name = args.name
     try:
+        if name in ("z2_constant", "z2_r3_linear"):
+            _catalog_caps(args, 2, 1)
         if name == "z2_constant":
             return catalog_mod.z2_constant(_scalar_param(args.c, "--c", 1))
         if name == "z2_r3_linear":
@@ -795,12 +807,14 @@ def _catalog_entry(args):
         if name == "gamma_n":
             if args.n is None or args.c0 is None:
                 raise InputError("gamma_n needs --n and --c0")
+            _catalog_caps(args, 4 * args.n + 2, lcm(4, 2 * args.n + 1))
             return catalog_mod.gamma_n_family(
                 args.n, _scalar_param(args.c0, "--c0", None),
                 a=_scalar_param(args.a, "--a", None))
         if name == "cyclic_qmoyal":
             if args.n is None:
                 raise InputError("cyclic_qmoyal needs --n")
+            _catalog_caps(args, args.n, lcm(4, args.n))
             return catalog_mod.cyclic_qmoyal(args.n)
     except catalog_mod.CatalogError as e:
         raise InputError(f"{name}: {e}")
@@ -913,6 +927,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     text = args.text
     try:
+        if args.max_group_order < 1:
+            raise InputError("--max-group-order must be a positive integer")
         code, data = args.handler(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -2,9 +2,13 @@
 
 Cochains live in the labeled representative spaces (restricted coefficients
 tensor tangent wedges tensor the full normal wedge, summed over group
-labels, then group-averaged).  The differential brackets a cochain with the
-structure field and projects back.  Kernels, images, and quotients come from
-exact sparse elimination over Q(zeta_M), at any polynomial degree cap.
+labels), and are invariant.  An invariant field is fixed by its component at
+one representative h per conjugacy class, which is Z(h)-invariant (the
+centraliser decomposition of Shepler and Witherspoon, Trans. AMS 360, 2008),
+so each space is built from Z(h)-sums of seeds at h, spread over the class by
+its transversal.  The differential brackets a cochain with the structure
+field and projects back.  Kernels, images, and quotients come from exact
+sparse elimination over Q(zeta_M), at any polynomial degree cap.
 
 The cap bookkeeping: the structure fields in scope have linear or constant
 coefficients, so the differential never raises polynomial degree and lowers
@@ -15,20 +19,21 @@ The degree bookkeeping: the cocycles of degree k are the linear relations
 among the images of C^k's sources, which no choice of coordinates on C^{k+1}
 changes, so C^{k+1} is never built.  h_truncated builds C^{k-1} and C^k
 alone, the boundaries being the images of C^{k-1}.  The relation d o d = 0 is
-asserted on the composite C^{k-1} -> C^k -> C^{k+1} through C^k's span, and
-at k = 0 by applying the differential once more to each image of C^0.
+asserted on the composite C^{k-1} -> C^k -> C^{k+1} through C^k's span of
+components at the representatives, and at k = 0 by applying the differential
+once more to each image of C^0.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
-from .scalars import Cyclotomic
+from .scalars import Cyclotomic, Q
 from .linalg import Span, add_into
 from .polyvec import (
     PolyVectorField,
-    average,
     is_poisson,
+    orbit_sum,
     poisson_differential,
     pr,
 )
@@ -47,22 +52,10 @@ class NotPoissonError(ValueError):
 
 
 def _monomials(m, cap):
-    """Exponent tuples in m variables of total degree <= cap, ordered."""
-    out = []
-
-    def rec(prefix, left):
-        if len(prefix) == m - 1:
-            for t in range(left + 1):
-                out.append(tuple(prefix) + (t,))
-            return
-        for t in range(left + 1):
-            rec(prefix + [t], left - t)
-
-    if m == 0:
-        return [()]
-    rec([], cap)
-    out.sort(key=lambda e: (sum(e), e))
-    return out
+    """Exponent tuples in m variables of total degree <= cap, by degree and
+    then lexicographically."""
+    return sorted((e for e in product(range(cap + 1), repeat=m) if sum(e) <= cap),
+                  key=lambda e: (sum(e), e))
 
 
 _NOT_SQUARE_ZERO = "the assembled differential does not square to zero"
@@ -87,7 +80,9 @@ class TruncatedComplex:
     field's polynomial degree and its differential.
 
     Building the complex asserts d o d = 0 on the composite H^k reads: for
-    k > 0 each image of C^{k-1} is written over C^k's span and the same
+    k > 0 each image of C^{k-1} is written over C^k's span by its components
+    at the representatives, the same combination of C^k's fields must
+    rebuild the whole image, which a non-invariant image cannot, and that
     combination of C^k's images must vanish; for k = 0 the differential is
     applied to each image of C^0.
     """
@@ -115,43 +110,45 @@ class TruncatedComplex:
                     raise RuntimeError(_NOT_SQUARE_ZERO)
             return
         # span is C^k's, the last one built
+        reps = {cls[0] for cls in self.group.conjugacy_classes()}
         for img in self.images[0]:
             if img.is_zero():
                 continue
-            combo = span.coordinates(img.terms)
-            if combo is None:
+            combo = span.coordinates({key: c for key, c in img.terms.items()
+                                      if key[0] in reps})
+            if combo is None or _combine(self.group, self.bases[1], combo) != img:
                 raise RuntimeError("differential left the assembled space")
             if not _combine(self.group, self.images[1], combo).is_zero():
                 raise RuntimeError(_NOT_SQUARE_ZERO)
 
     def _representative_basis(self, j):
         group = self.group
-        m = group.dim
+        scale = Cyclotomic.rational(group.M, Q(1, group.order))
+        monomials = _monomials(group.dim, self.poly_cap)
         fields, degs = [], []
         span = Span()
-        # seeds at the class representatives span every average: a seed at
-        # another member averages to a combination of the averages of seeds
-        # of its degrees at the representative, its class's smallest label
-        for gi in (cls[0] for cls in group.conjugacy_classes()):
+        # a seed at another member of h's class averages to a combination
+        # of the averages of seeds of its degrees at h, so seeds at h suffice
+        for cls in group.conjugacy_classes():
+            h = cls[0]
             # a wedge shorter than the codimension holds no full normal
             # wedge, so pr kills every seed at this label
-            if group.geometry(gi).codim > j:
+            if group.geometry(h).codim > j:
                 continue
-            for wedge in combinations(range(m), j):
-                for expo in _monomials(m, self.poly_cap):
+            centraliser = group.centraliser(h)
+            for wedge in combinations(range(group.dim), j):
+                for expo in monomials:
                     # pr commutes with the group action, so projecting the
-                    # seed first skips the averaging of seeds pr kills
-                    seed = pr(PolyVectorField.single(group, gi, expo, wedge, 1))
-                    if seed.is_zero():
-                        continue
-                    image = average(seed)
-                    if image.is_zero():
-                        continue
-                    # the stored row, not the image, is the basis field:
-                    # span coordinates are taken over the stored rows
-                    row = span.insert(image.terms, meta=len(fields))
+                    # seed first skips the sums of seeds pr kills; the sum
+                    # over Z(h), over |Gamma|, is average(seed) at h
+                    seed = pr(PolyVectorField.single(group, h, expo, wedge, 1))
+                    local = seed._like(orbit_sum(seed, centraliser)).scale(scale)
+                    # the basis field spreads the stored row, not the local
+                    # sum: span coordinates are taken over the stored rows
+                    row = span.insert(local.terms, meta=len(fields))
                     if row is not None:
-                        fields.append(image._like(row))
+                        fields.append(seed._like(
+                            orbit_sum(seed._like(row), group.transversal(cls))))
                         degs.append(sum(expo))
         return fields, degs, span
 
@@ -167,12 +164,10 @@ class TruncatedComplex:
             col = {("img", key): c for key, c in img.terms.items()}
             col[("src", idx)] = Cyclotomic.one(self.group.M)
             span.insert(col)
-        kernel_fields = []
-        for residue in span.rows():
-            if any(tag == "img" for tag, _ in residue):
-                continue
-            combo = [(idx, c) for (_tag, idx), c in residue.items()]
-            kernel_fields.append(_combine(self.group, self.bases[-1], combo))
+        kernel_fields = [_combine(self.group, self.bases[-1],
+                                  [(idx, c) for (_, idx), c in residue.items()])
+                         for residue in span.rows()
+                         if all(tag == "src" for tag, _ in residue)]
         # boundaries landing in degree <= d, from sources one degree higher
         image_fields = []
         if k > 0:

@@ -109,7 +109,7 @@ class MatrixGroup:
         self.inv = [row.index(0) for row in self.mul]
         self._geometry: dict[int, ElementGeometry] = {}
         self._substitutions: dict[int, LinearSubstitution] = {}
-        self._classes = None
+        self._classes = {}  # each class to its transversal
 
     # -- basics ---------------------------------------------------------------
 
@@ -187,21 +187,27 @@ class MatrixGroup:
     # -- conjugacy -------------------------------------------------------------
 
     def conjugacy_classes(self):
-        if self._classes is None:
-            seen = [False] * len(self.elements)
-            classes = []
-            for i in range(len(self.elements)):
-                if seen[i]:
+        """The classes as sorted tuples, in the order of their smallest
+        members; the loop finding each one records its transversal."""
+        if not self._classes:
+            for h in range(self.order):
+                if any(h in cls for cls in self._classes):
                     continue
-                orbit = set()
-                for g in range(len(self.elements)):
-                    orbit.add(self.conjugate_index(g, i))
-                orbit = tuple(sorted(orbit))
-                for j in orbit:
-                    seen[j] = True
-                classes.append(orbit)
-            self._classes = classes
-        return self._classes
+                reach = {}
+                for g in range(self.order):
+                    reach.setdefault(self.conjugate_index(g, h), g)
+                cls = tuple(sorted(reach))
+                self._classes[cls] = tuple(reach[c] for c in cls)
+        return list(self._classes)
+
+    def transversal(self, cls):
+        """For each member c of the class cls, in its order, one g with
+        g cls[0] g^-1 = c; another such g differs by an element of Z(cls[0])."""
+        return self._classes[cls]
+
+    def centraliser(self, h):
+        """The indices of the elements commuting with h, ascending."""
+        return [z for z in range(self.order) if self.mul[z][h] == self.mul[h][z]]
 
     # -- geometry ---------------------------------------------------------------
 

@@ -497,8 +497,7 @@ def _local_columns(group, h):
     Z(h)-invariant part of the span; the Span keeps the sums that are
     independent of the earlier ones, which therefore span that part.
     """
-    mul = group.mul
-    centraliser = [z for z in range(group.order) if mul[z][h] == mul[h][z]]
+    centraliser = group.centraliser(h)
     span = linalg.Span()
     out = []
     for f in _wedge_basis_at_label(group, h):
@@ -506,18 +505,6 @@ def _local_columns(group, h):
         if terms and span.insert(terms) is not None:
             out.append(PolyVectorField(group, terms))
     return out
-
-
-def _spread(group, cls, local):
-    """The invariant field whose component at the representative cls[0] is
-    the Z(cls[0])-invariant field local: at each member c of the class, local
-    moved by one element g with g cls[0] g^-1 = c.  Another such g differs
-    from it by an element of Z(cls[0]), which fixes local."""
-    h = cls[0]
-    reach = {}
-    for g in range(group.order):
-        reach.setdefault(group.conjugate_index(g, h), g)
-    return PolyVectorField(group, orbit_sum(local, (reach[c] for c in cls)))
 
 
 def _at_labels(field, labels):
@@ -536,8 +523,8 @@ def solve_b(pair):
     decomposition of Shepler and Witherspoon, Trans. AMS 360, 2008).  So the
     unknowns are one column per independent Z(h)-invariant field at each
     representative h (the local columns, _local_columns), each spread over
-    its class into an invariant field (_spread); no invariance rows are
-    needed.
+    its class into an invariant field by summing it moved by the class's
+    transversal; no invariance rows are needed.
 
     With pi and b invariant, the bg2 residue [pi, pi] - 2 d(b) and the bg3
     residue of b against pi are invariant, so each vanishes exactly when it
@@ -578,7 +565,8 @@ def solve_b(pair):
     for cls in group.conjugacy_classes():
         for col in _local_columns(group, cls[0]):
             local.append(col)
-            spread.append(_spread(group, cls, col))
+            spread.append(PolyVectorField(
+                group, orbit_sum(col, group.transversal(cls))))
     reps = {cls[0] for cls in group.conjugacy_classes()}
     engine = BracketEngine(base.pi)
     two = Cyclotomic.rational(group.M, 2)

@@ -43,10 +43,7 @@ def order6_rotation_group():
     return generate([[[0, -1], [1, 1]]], 6)
 
 
-def permutation_group_on_doubled_space(n, signed):
-    """S_n, or with signed=True the signed permutations B_n, acting on
-    C^n + C^n by one matrix on both summands.  These matrices are
-    orthogonal, so the second summand is the dual of the first."""
+def _doubled_permutations(n, signed):
     def doubled(images):
         # images[i] = (j, sign): coordinate i is sent to sign * coordinate j
         out = [[0] * (2 * n) for _ in range(2 * n)]
@@ -58,7 +55,47 @@ def permutation_group_on_doubled_space(n, signed):
             doubled([((i + 1) % n, 1) for i in range(n)])]
     if signed:
         gens.append(doubled([(0, -1)] + [(i, 1) for i in range(1, n)]))
-    return generate(gens, 1)
+    return gens
+
+
+def permutation_group_on_doubled_space(n, signed):
+    """S_n, or with signed=True the signed permutations B_n, acting on
+    C^n + C^n by one matrix on both summands.  These matrices are
+    orthogonal, so the second summand is the dual of the first."""
+    return generate(_doubled_permutations(n, signed), 1)
+
+
+def doubled_form(n):
+    """The standard symplectic form pairing C^n with the second summand."""
+    m = 2 * n
+    return [[int(j == i + n) - int(i == j + n) for j in range(m)] for i in range(m)]
+
+
+def conjugated_s3_pair():
+    """The symplectic reflection pair of S3 on C^3 + C^3, c = 1, with each
+    generator g replaced by P g P^-1 and the form by P^-T Omega P^-1, for a
+    unimodular integer P: a non-abelian group of matrices that are not
+    monomial, so classes have several members and the action mixes
+    monomials."""
+    def mul(A, B):
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+    ident = [[int(i == j) for j in range(6)] for i in range(6)]
+    # with this P the engine's basis fields list their terms in the order of
+    # every-label seeding; with its transpose they are the same fields, but
+    # five of C^2's at cap 2 list their terms at non-representative labels
+    # in another order, which the ordered basis comparison would refuse
+    N = [[0] * 6 for _ in range(6)]
+    N[1][0] = N[5][3] = N[0][2] = 1
+    P = [[a + b for a, b in zip(r, s)] for r, s in zip(ident, N)]
+    # N^3 = 0, so P^-1 = 1 - N + N^2
+    Pinv = [[a - b + c for a, b, c in zip(r, s, t)]
+            for r, s, t in zip(ident, N, mul(N, N))]
+    assert mul(P, Pinv) == ident
+    G = generate([mul(mul(P, g), Pinv) for g in _doubled_permutations(3, False)], 1)
+    PinvT = [list(col) for col in zip(*Pinv)]
+    omega = mul(mul(PinvT, doubled_form(3)), Pinv)
+    return catalog.symplectic_reflection(G, omega, 1).structure
 
 
 def random_pvf(group, rng, nterms=4, max_deg=2, wedge_deg=None):

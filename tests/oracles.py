@@ -690,11 +690,15 @@ def solve_b_against_reference(pair):
 
 # -- cohomology --------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def reference_representative_basis(group, poly_cap, j):
     """The degree-j cochain basis through poly_cap, as (fields, degrees),
-    seeded at every label; TruncatedComplex seeds its bases of degrees k - 1
-    and k at the class representatives only.  Any j from 0 to 3 is built,
-    so reference_cohomology has the whole complex."""
+    seeded at every label and averaged over the whole group; TruncatedComplex
+    seeds its bases of degrees k - 1 and k at the class representatives only
+    and sums over their centralisers.  Any j from 0 to 3 is built, so
+    reference_cohomology has the whole complex.  The bases are cached per
+    group, which the tests of one group share; callers must not mutate
+    them."""
     m = group.dim
     fields, degs = [], []
     span = Span()

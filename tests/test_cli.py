@@ -335,6 +335,46 @@ def test_input_errors_exit_two(invoke):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, order, conductor", [
+    (["gamma_n", "--n", "2", "--c0", "1"], 10, 20),
+    (["cyclic_qmoyal", "--n", "6"], 6, 12),
+    (["z2_constant", "--c", "1"], 2, 1),
+    (["z2_r3_linear", "--variant", "2"], 2, 1),
+], ids=["gamma_n", "cyclic_qmoyal", "z2_constant", "z2_r3_linear"])
+def test_catalog_honours_the_caps_of_its_readers(invoke, monkeypatch, argv, order, conductor):
+    # at both caps the entry is emitted and read back; one below either,
+    # catalog exits 2 with the message the reader gives for the file
+    monkeypatch.setenv(cli.CONDUCTOR_CAP_VAR, str(conductor))
+    code, emitted, _ = invoke(["catalog", *argv, "--max-group-order", str(order)])
+    assert code == 0 and json.loads(emitted)["conductor"] == conductor
+    assert parse_structure_file(emitted, max_group_order=order).group.order == order
+    refusals = [(order - 1, str(conductor))]
+    if conductor > 1:
+        refusals.append((order, str(conductor - 1)))
+    for bound, cap in refusals:
+        monkeypatch.setenv(cli.CONDUCTOR_CAP_VAR, cap)
+        with pytest.raises(InputError) as caught:
+            parse_structure_file(emitted, max_group_order=bound)
+        code, out, err = invoke(["catalog", *argv, "--max-group-order", str(bound)])
+        assert (code, out, err) == (2, "", f"error: {caught.value}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gamma_n", "--n", "150", "--c0", "1"], "group order exceeds bound 512"),
+    (["cyclic_qmoyal", "--n", "600", "--max-group-order", "600"],
+     "conductor 600 exceeds the cap 256"),
+], ids=["gamma_n", "cyclic_qmoyal"])
+def test_catalog_refuses_before_building(invoke, monkeypatch, argv, message):
+    def build(*args, **kwargs):
+        raise AssertionError("the entry was built")
+
+    monkeypatch.delenv(cli.CONDUCTOR_CAP_VAR, raising=False)
+    monkeypatch.setattr(catalog, "gamma_n_family", build)
+    monkeypatch.setattr(catalog, "cyclic_qmoyal", build)
+    code, out, err = invoke(["catalog", *argv])
+    assert code == 2 and not out and message in err
+
+
 def test_catalog_parameters_refuse_symbols(invoke):
     # parameters are rational; z over the trivial field would read as 1
     for flag, raw, column in (("--c0", "z", 1), ("--c0", "z^2+1/2", 1),

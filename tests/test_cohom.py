@@ -2,7 +2,13 @@ import itertools
 
 import pytest
 
-from conftest import permutation_group_on_doubled_space, sl2_order3_pair, z2_group
+from conftest import (
+    conjugated_s3_pair,
+    doubled_form,
+    permutation_group_on_doubled_space,
+    sl2_order3_pair,
+    z2_group,
+)
 from crossed_poisson import catalog, cohom, linalg
 from crossed_poisson.groups import generate
 from crossed_poisson.scalars import Cyclotomic, Q
@@ -273,22 +279,21 @@ def _term_lists(fields):
 def permutation_pair(n, signed):
     """The symplectic reflection pair of S_n or B_n on C^n + C^n*, c = 1."""
     G = permutation_group_on_doubled_space(n, signed)
-    m = G.dim
-    omega = [[int(j == i + n) - int(i == j + n) for j in range(m)] for i in range(m)]
-    return catalog.symplectic_reflection(G, omega, 1).structure
+    return catalog.symplectic_reflection(G, doubled_form(n), 1).structure
 
 
 @pytest.mark.parametrize("make, d", [
     (z2_constant_pair, 2), (lambda: r3_pair(1), 2), (lambda: r3_pair(2), 2),
     (sl2_order3_pair, 2), (reflection_pair, 2), (signed_swap_pair, 2),
     (lambda: permutation_pair(3, False), 1), (lambda: permutation_pair(2, True), 1),
+    (conjugated_s3_pair, 1),
 ], ids=["z2_constant", "r3_1", "r3_2", "sl2_order3", "reflection", "signed_swap",
-        "S3", "B2"])
+        "S3", "B2", "S3_conjugated"])
 def test_degree_limited_complex_equals_the_full_one(make, d):
     # the same fields in the same order; the order of the terms inside a
     # kernel field follows the elimination, which the two routes run on
-    # different keys.  S3 and B2 are not abelian; cap 1 keeps their full
-    # complexes small
+    # different keys.  S3 and B2 are not abelian, and the conjugated S3 is
+    # neither abelian nor monomial; cap 1 keeps their full complexes small
     pair = make()
     for k in (0, 1, 2):
         got = h_truncated(pair, k, d)
@@ -300,12 +305,13 @@ def test_degree_limited_complex_equals_the_full_one(make, d):
 @pytest.mark.parametrize("make", [
     z2_constant_pair, lambda: r3_pair(1), lambda: r3_pair(2), sl2_order3_pair,
     reflection_pair, signed_swap_pair, lambda: permutation_pair(3, False),
-    lambda: permutation_pair(2, True),
+    lambda: permutation_pair(2, True), conjugated_s3_pair,
 ], ids=["z2_constant", "r3_1", "r3_2", "sl2_order3", "reflection", "signed_swap",
-        "S3", "B2"])
+        "S3", "B2", "S3_conjugated"])
 def test_basis_seeded_at_representatives_equals_every_label_seeding(make):
     # S3 and B2 are not abelian, so there the engine skips the seeds at every
-    # label outside a class's smallest one
+    # label outside a class's smallest one and sums over a proper centraliser;
+    # the conjugated S3 does so with matrices that mix monomials
     pair = make()
     cap = 2
     bases, degrees = engine_bases(pair, cap)
@@ -313,6 +319,16 @@ def test_basis_seeded_at_representatives_equals_every_label_seeding(make):
         fields, want_degrees = reference_representative_basis(pair.group, cap, j)
         assert _term_lists(bases[j]) == _term_lists(fields), j
         assert degrees[j] == want_degrees, j
+
+
+def test_conjugated_s3_has_the_dimensions_of_s3():
+    # conjugating the group and the form by P is a change of coordinates,
+    # which the kernel, boundary and cohomology dimensions do not see
+    want = {0: (1, 0, 1), 1: (8, 8, 0), 2: (15, 14, 1)}
+    for k in (0, 1, 2):
+        for pair in (permutation_pair(3, False), conjugated_s3_pair()):
+            report = h_truncated(pair, k, 1)
+            assert (report.dim_kernel, report.dim_image, report.dimension) == want[k]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -347,6 +363,30 @@ def test_differential_leaving_the_assembled_space_is_refused(monkeypatch):
     monkeypatch.setattr(cohom, "poisson_differential", skewed)
     with pytest.raises(RuntimeError, match="left the assembled space"):
         TruncatedComplex(pair, 1, 2)
+
+
+def test_non_invariant_image_is_refused(monkeypatch):
+    # each image of a vector field gains a constant normal 2-wedge at a
+    # transposition other than its class's representative: inside the cap,
+    # of the shape C^2 holds there, and invisible at the representatives,
+    # whose components keep the honest coordinates; only rebuilding the
+    # whole image from them refuses it
+    pair = permutation_pair(3, False)
+    G = pair.group
+    cls = next(c for c in G.conjugacy_classes() if G.codim(c[0]) == 2)
+    u, v = G.geometry(cls[1]).normal
+    stray = PolyVectorField.wedge2(G, cls[1], u, v)
+    honest = cohom.poisson_differential
+
+    def skewed(pair, X):
+        out = honest(pair, X)
+        if any(len(wedge) == 1 for _, _, wedge in X.terms):
+            out = out + stray
+        return out
+
+    monkeypatch.setattr(cohom, "poisson_differential", skewed)
+    with pytest.raises(RuntimeError, match="left the assembled space"):
+        TruncatedComplex(pair, 2, 1)
 
 
 # -- guards ---------------------------------------------------------------------

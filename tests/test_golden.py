@@ -9,8 +9,10 @@ files with
     PYTHONPATH=src python tests/test_golden.py
 
 and review the diff.  With --check the script compares every case byte for
-byte instead, writes nothing, and exits 1 naming each differing file; it
-needs no pytest, so it runs on any interpreter that can import the package.
+byte instead, writes nothing, and exits 1 naming each differing file and each
+file under tests/golden/ that no case writes (an orphan, left by a renamed or
+dropped case); it needs no pytest, so it runs on any interpreter that can
+import the package.
 """
 
 import argparse
@@ -170,6 +172,12 @@ def pytest_generate_tests(metafunc):
                              ids=[c[0] for c in CASES])
 
 
+def orphans():
+    """The files under tests/golden/ that no case writes, sorted."""
+    written = {_path(name, fmt) for name, _, _ in CASES for fmt in ("text", "json")}
+    return sorted(path for path in GOLDEN.iterdir() if path not in written)
+
+
 def test_golden_output(name, argv, build):
     stdin = build()
     for fmt in ("text", "json"):
@@ -177,12 +185,17 @@ def test_golden_output(name, argv, build):
         assert run_case(argv, stdin, fmt) == expected, (name, fmt)
 
 
+def test_every_golden_file_belongs_to_a_case():
+    assert orphans() == []
+
+
 def main(args):
     parser = argparse.ArgumentParser(
         description="Rewrite the golden CLI outputs, or compare them.")
     parser.add_argument("--check", action="store_true",
                         help="compare every case byte for byte and write "
-                             "nothing; exit 1 naming each differing file")
+                             "nothing; exit 1 naming each differing file "
+                             "and each golden file no case writes")
     check = parser.parse_args(args).check
     if not check:
         GOLDEN.mkdir(exist_ok=True)
@@ -198,10 +211,14 @@ def main(args):
             elif not path.is_file() or path.read_bytes() != out:
                 differing.append(path)
                 print("differs", path)
+    stale = orphans() if check else []
+    for path in stale:
+        print("orphan", path)
     if check:
         print(f"{len(CASES)} cases, {2 * len(CASES)} files, "
-              f"{len(differing)} differing")
-    return 1 if differing else 0
+              f"{len(differing)} differing"
+              + (f", {len(stale)} orphaned" if stale else ""))
+    return 1 if differing or stale else 0
 
 
 if __name__ == "__main__":

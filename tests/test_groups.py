@@ -59,6 +59,20 @@ def test_gamma1_structure():
         assert len(cls) * len(centralizer(G, i)) == G.order
 
 
+@pytest.mark.parametrize("build", [
+    gamma1_group, lambda: permutation_group_on_doubled_space(3, False),
+], ids=["gamma_1", "S3"])
+def test_classes_carry_a_conjugator_per_member(build):
+    G = build()
+    seen = []
+    for cls in G.conjugacy_classes():
+        h = cls[0]
+        assert list(cls) == sorted(cls) and h == min(cls)
+        assert [G.conjugate_index(g, h) for g in G.transversal(cls)] == list(cls)
+        seen += cls
+    assert sorted(seen) == list(range(G.order))
+
+
 def test_gamma1_reflection_geometry():
     # the swap beta has fixed line z1 = z2 (and conjugates); its normal space
     # must contain the antisymmetric directions (1,-1,0,0) and (0,0,1,-1)

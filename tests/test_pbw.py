@@ -18,6 +18,7 @@ from crossed_poisson.polyvec import (
     act,
     average,
     is_invariant,
+    orbit_sum,
 )
 from crossed_poisson import catalog, linalg, pbw
 from crossed_poisson.groups import generate
@@ -349,17 +350,19 @@ def test_solve_b_with_zero_pi_matches_the_per_element_reference(n, signed):
 ], ids=["gamma_1", "S4", "B3"])
 def test_local_and_spread_columns(build):
     # local columns: Z(h)-invariant, at the representative h only, and
-    # independent; spread columns: invariant, equal to the local column at h
+    # independent; spread columns, the local column moved by the class's
+    # transversal: invariant, equal to the local column at h
     G = build()
     for cls in G.conjugacy_classes():
         h = cls[0]
+        assert G.centraliser(h) == centralizer(G, h)
         local = pbw._local_columns(G, h)
         span = linalg.Span()
         for col in local:
             assert col.labels() == [h]
             assert all(act(z, col) == col for z in centralizer(G, h))
             assert span.insert(col.terms) is not None
-            spread = pbw._spread(G, cls, col)
+            spread = PolyVectorField(G, orbit_sum(col, G.transversal(cls)))
             assert is_invariant(spread)
             assert spread.labels() == list(cls)
             assert spread.restrict_label(h) == col
