@@ -260,8 +260,11 @@ class _StarDomain(_Domain):
 
     def power(self, a, k):
         out = qmoyal.QPoly.one(self.n)
-        for _ in range(k):
-            out = out * a
+        while k:
+            if k & 1:
+                out = out * a
+            a = a * a if k > 1 else a
+            k >>= 1
         return out
 
     def div(self, a, b, text, pos):
@@ -679,9 +682,15 @@ def _text_pbw(data):
     return lines
 
 
-def cmd_star(args):
-    if args.n < 1:
+def _check_star_n(n):
+    # the star subcommands compute over Q(zeta_lcm(4, n))
+    if n < 1:
         raise InputError("--n must be a positive integer")
+    _check_conductor(lcm(4, n))
+
+
+def cmd_star(args):
+    _check_star_n(args.n)
     try:
         values = [parse_star_expression(text, args.n) for text in args.expr]
     except LiteralError as e:
@@ -698,8 +707,7 @@ def _text_star(data):
 
 
 def cmd_center(args):
-    if args.n < 1:
-        raise InputError("--n must be a positive integer")
+    _check_star_n(args.n)
     try:
         seed = parse_star_expression(args.expr, args.n)
     except LiteralError as e:
@@ -722,6 +730,7 @@ def _text_center(data):
 
 
 def cmd_center_relation(args):
+    _check_star_n(args.n)
     try:
         constant = qmoyal.center_relation(args.n)
     except qmoyal.StarError as e:

@@ -2,13 +2,11 @@
 
 Cochains live in the labeled representative spaces (restricted coefficients
 tensor tangent wedges tensor the full normal wedge, summed over group
-labels), and are invariant.  An invariant field is fixed by its component at
-one representative h per conjugacy class, which is Z(h)-invariant (the
-centraliser decomposition of Shepler and Witherspoon, Trans. AMS 360, 2008),
-so each space is built from Z(h)-sums of seeds at h, spread over the class by
-its transversal.  The differential brackets a cochain with the structure
-field and projects back.  Kernels, images, and quotients come from exact
-sparse elimination over Q(zeta_M), at any polynomial degree cap.
+labels), and are invariant: polyvec.invariant_basis builds each space from
+the projected monomial fields at the class representatives.  The
+differential brackets a cochain with the structure field and projects back.
+Kernels, images, and quotients come from exact sparse elimination over
+Q(zeta_M), at any polynomial degree cap.
 
 The cap bookkeeping: the structure fields in scope have linear or constant
 coefficients, so the differential never raises polynomial degree and lowers
@@ -26,14 +24,15 @@ once more to each image of C^0.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, product
 
-from .scalars import Cyclotomic, Q
+from .scalars import Cyclotomic
 from .linalg import Span, add_into
 from .polyvec import (
     PolyVectorField,
+    invariant_basis,
     is_poisson,
-    orbit_sum,
     poisson_differential,
     pr,
 )
@@ -100,7 +99,7 @@ class TruncatedComplex:
         self.poly_cap = d + 1
         self.bases, self.degrees, self.images = [], [], []
         for j in range(max(k - 1, 0), k + 1):
-            fields, degs, span = self._representative_basis(j)
+            _, fields, degs, span = invariant_basis(self.group, partial(self._seeds, j))
             self.bases.append(fields)
             self.degrees.append(degs)
             self.images.append([poisson_differential(pair, f) for f in fields])
@@ -121,36 +120,19 @@ class TruncatedComplex:
             if not _combine(self.group, self.images[1], combo).is_zero():
                 raise RuntimeError(_NOT_SQUARE_ZERO)
 
-    def _representative_basis(self, j):
+    def _seeds(self, j, h):
+        """(projected monomial field, its polynomial degree) at h, degree j."""
         group = self.group
-        scale = Cyclotomic.rational(group.M, Q(1, group.order))
+        # a wedge shorter than the codimension holds no full normal wedge,
+        # so pr kills every seed at this label
+        if group.geometry(h).codim > j:
+            return
         monomials = _monomials(group.dim, self.poly_cap)
-        fields, degs = [], []
-        span = Span()
-        # a seed at another member of h's class averages to a combination
-        # of the averages of seeds of its degrees at h, so seeds at h suffice
-        for cls in group.conjugacy_classes():
-            h = cls[0]
-            # a wedge shorter than the codimension holds no full normal
-            # wedge, so pr kills every seed at this label
-            if group.geometry(h).codim > j:
-                continue
-            centraliser = group.centraliser(h)
-            for wedge in combinations(range(group.dim), j):
-                for expo in monomials:
-                    # pr commutes with the group action, so projecting the
-                    # seed first skips the sums of seeds pr kills; the sum
-                    # over Z(h), over |Gamma|, is average(seed) at h
-                    seed = pr(PolyVectorField.single(group, h, expo, wedge, 1))
-                    local = seed._like(orbit_sum(seed, centraliser)).scale(scale)
-                    # the basis field spreads the stored row, not the local
-                    # sum: span coordinates are taken over the stored rows
-                    row = span.insert(local.terms, meta=len(fields))
-                    if row is not None:
-                        fields.append(seed._like(
-                            orbit_sum(seed._like(row), group.transversal(cls))))
-                        degs.append(sum(expo))
-        return fields, degs, span
+        for wedge in combinations(range(group.dim), j):
+            for expo in monomials:
+                # pr commutes with the group action, so projecting the seed
+                # first skips the sums of seeds pr kills
+                yield pr(PolyVectorField.single(group, h, expo, wedge, 1)), sum(expo)
 
     def cohomology(self):
         """Kernel, image, and quotient data for cochain degree k through cap d."""

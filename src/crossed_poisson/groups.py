@@ -217,13 +217,7 @@ class MatrixGroup:
             return geo
         m = self.dim
         M = self.M
-        G = self.elements[i]
         zero, one = Cyclotomic.zero(M), Cyclotomic.one(M)
-        # the image of gamma - 1 is what its left kernel annihilates
-        GmIt = [[G[r][c] - (one if r == c else 0) for r in range(m)]
-                for c in range(m)]
-        left = linalg.kernel_basis(GmIt, m, M)
-        normal = linalg.kernel_basis(left, m, M)
         # P is the average of the powers of gamma, read off the table
         powers = [0]
         while self.mul[powers[-1]][i]:
@@ -231,6 +225,9 @@ class MatrixGroup:
         scale = Cyclotomic.rational(M, Q(1, len(powers)))
         P = [[sum((self.elements[k][r][c] for k in powers), zero) * scale
               for c in range(m)] for r in range(m)]
+        # P (gamma - 1) = 0 and rank P = dim V^gamma, so the image of
+        # gamma - 1, the normal space, is the kernel of P
+        normal = linalg.kernel_basis(P, m, M)
         comp = [[(one if r == c else zero) - P[r][c] for c in range(m)]
                 for r in range(m)]
         geo = self._geometry[i] = ElementGeometry(normal, P, comp)

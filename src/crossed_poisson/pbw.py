@@ -28,9 +28,9 @@ from .polyvec import (
     BracketEngine,
     InvarianceError,
     PolyVectorField,
+    invariant_basis,
     is_invariant,
     koszul_differential,
-    orbit_sum,
 )
 
 __all__ = [
@@ -490,23 +490,6 @@ def _wedge_basis_at_label(group, gi):
     return [f for f in fields if f]
 
 
-def _local_columns(group, h):
-    """The independent Z(h)-sums of the basis fields at label h.
-
-    The sum over Z(h) is |Z(h)| times the average, the projector onto the
-    Z(h)-invariant part of the span; the Span keeps the sums that are
-    independent of the earlier ones, which therefore span that part.
-    """
-    centraliser = group.centraliser(h)
-    span = linalg.Span()
-    out = []
-    for f in _wedge_basis_at_label(group, h):
-        terms = orbit_sum(f, centraliser)
-        if terms and span.insert(terms) is not None:
-            out.append(PolyVectorField(group, terms))
-    return out
-
-
 def _at_labels(field, labels):
     return field._like({k: v for k, v in field.terms.items() if k[0] in labels})
 
@@ -517,14 +500,10 @@ def solve_b(pair):
     b is sought among the invariant constant fields whose component at the
     identity lies in the full exterior square and whose component at any
     other label g lies in the exterior square of the normal space of g (the
-    basis of _wedge_basis_at_label).  An invariant field is fixed by its
-    components at one representative h per conjugacy class, and the
-    component at h is invariant under the centraliser Z(h) (the centraliser
-    decomposition of Shepler and Witherspoon, Trans. AMS 360, 2008).  So the
-    unknowns are one column per independent Z(h)-invariant field at each
-    representative h (the local columns, _local_columns), each spread over
-    its class into an invariant field by summing it moved by the class's
-    transversal; no invariance rows are needed.
+    basis of _wedge_basis_at_label).  The unknowns are the fields that
+    polyvec.invariant_basis builds from that basis at each class
+    representative h: one column per local row at h, spread over its class
+    into an invariant field; no invariance rows are needed.
 
     With pi and b invariant, the bg2 residue [pi, pi] - 2 d(b) and the bg3
     residue of b against pi are invariant, so each vanishes exactly when it
@@ -561,12 +540,8 @@ def solve_b(pair):
     if not is_invariant(base.pi):
         raise InvarianceError("linear part pi is not group-invariant")
 
-    local, spread = [], []
-    for cls in group.conjugacy_classes():
-        for col in _local_columns(group, cls[0]):
-            local.append(col)
-            spread.append(PolyVectorField(
-                group, orbit_sum(col, group.transversal(cls))))
+    local, spread, _, _ = invariant_basis(
+        group, lambda h: ((f, None) for f in _wedge_basis_at_label(group, h)))
     reps = {cls[0] for cls in group.conjugacy_classes()}
     engine = BracketEngine(base.pi)
     two = Cyclotomic.rational(group.M, 2)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .linalg import Terms, add_into
+from .linalg import Span, Terms, add_into
 from .scalars import Cyclotomic, Q
 
 
@@ -254,6 +254,38 @@ def average(X):
     """Group-averaging projector onto invariant fields."""
     n = X.group.order
     return X._like(orbit_sum(X, range(n))).scale(Cyclotomic.rational(X.group.M, Q(1, n)))
+
+
+def invariant_basis(group, seeds):
+    """A basis of invariant fields, built at the class representatives.
+
+    An invariant field is fixed by its component at one representative h per
+    conjugacy class, which is Z(h)-invariant (the centraliser decomposition
+    of Shepler and Witherspoon, Trans. AMS 360, 2008), so seeds spanning a
+    Gamma-stable space at each h span its invariant fields.  seeds(h) yields
+    (seed, tag) pairs at h.  A seed's sum over Z(h), over |Gamma|, is the
+    component at h of average(seed); a Span keeps the sums independent of
+    the earlier ones, with their field's index as meta, and the row it
+    stores is spread over the class by the transversal, so coordinates over
+    the span are coordinates over the fields.
+
+    Returns (local, fields, tags, span): the stored rows as fields at h, the
+    invariant fields, the tag of each field's seed, and the span.
+    """
+    scale = Cyclotomic.rational(group.M, Q(1, group.order))
+    local, fields, tags = [], [], []
+    span = Span()
+    for cls in group.conjugacy_classes():
+        centraliser = group.centraliser(cls[0])
+        for seed, tag in seeds(cls[0]):
+            row = span.insert(seed._like(orbit_sum(seed, centraliser)).scale(scale).terms,
+                              meta=len(fields))
+            if row is not None:
+                row = seed._like(row)
+                local.append(row)
+                fields.append(row._like(orbit_sum(row, group.transversal(cls))))
+                tags.append(tag)
+    return local, fields, tags, span
 
 
 # ---------------------------------------------------------------------------

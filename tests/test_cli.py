@@ -2,6 +2,7 @@ import io
 import json
 import random
 import re
+import time
 
 import pytest
 
@@ -280,6 +281,29 @@ def test_center_relation_subcommand(invoke):
     assert json.loads(out)["constant"] == "1/64*h^4"
     code, _, err = invoke(["center-relation", "--n", "1"])
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["star", "--n", "100000", "Z"],
+    ["center", "--n", "300", "Z*Zb"],
+    ["center-relation", "--n", "300"],
+], ids=["star", "center", "center-relation"])
+def test_star_subcommands_honour_the_conductor_cap(invoke, monkeypatch, argv):
+    # Q(zeta_lcm(4, n)) past the cap is refused before any arithmetic
+    monkeypatch.delenv(cli.CONDUCTOR_CAP_VAR, raising=False)
+    code, out, err = invoke(argv)
+    assert code == 2 and not out and "exceeds the cap 256" in err
+    code, out, _ = invoke(["star", "--n", "64", "Z"])
+    assert (code, out) == (0, "result: Z\n")
+
+
+def test_star_power_squares(invoke):
+    # g has order 2, so g^1000000 is 1; one product per unit of the
+    # exponent took seconds
+    start = time.perf_counter()
+    code, out, _ = invoke(["star", "--n", "2", "g^1000000"])
+    assert (code, out) == (0, "result: 1\n")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cohomology_subcommand(invoke):

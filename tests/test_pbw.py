@@ -17,8 +17,8 @@ from crossed_poisson.polyvec import (
     StructurePair,
     act,
     average,
+    invariant_basis,
     is_invariant,
-    orbit_sum,
 )
 from crossed_poisson import catalog, linalg, pbw
 from crossed_poisson.groups import generate
@@ -349,23 +349,25 @@ def test_solve_b_with_zero_pi_matches_the_per_element_reference(n, signed):
     lambda: permutation_group_on_doubled_space(3, True),
 ], ids=["gamma_1", "S4", "B3"])
 def test_local_and_spread_columns(build):
-    # local columns: Z(h)-invariant, at the representative h only, and
-    # independent; spread columns, the local column moved by the class's
-    # transversal: invariant, equal to the local column at h
+    # invariant_basis seeded with solve_b's basis: local rows Z(h)-invariant,
+    # at the representative h only, and independent; fields, the local row
+    # moved by the class's transversal: invariant, over the class, equal to
+    # the local row at h
     G = build()
-    for cls in G.conjugacy_classes():
-        h = cls[0]
+    classes = {cls[0]: cls for cls in G.conjugacy_classes()}
+    for h in classes:
         assert G.centraliser(h) == centralizer(G, h)
-        local = pbw._local_columns(G, h)
-        span = linalg.Span()
-        for col in local:
-            assert col.labels() == [h]
-            assert all(act(z, col) == col for z in centralizer(G, h))
-            assert span.insert(col.terms) is not None
-            spread = PolyVectorField(G, orbit_sum(col, G.transversal(cls)))
-            assert is_invariant(spread)
-            assert spread.labels() == list(cls)
-            assert spread.restrict_label(h) == col
+    local, fields, tags, _ = invariant_basis(
+        G, lambda h: ((f, h) for f in pbw._wedge_basis_at_label(G, h)))
+    assert len(local) == len(fields) == len(tags) > 0
+    span = linalg.Span()
+    for row, field, h in zip(local, fields, tags):
+        assert row.labels() == [h]
+        assert all(act(z, row) == row for z in centralizer(G, h))
+        assert span.insert(row.terms) is not None
+        assert is_invariant(field)
+        assert field.labels() == list(classes[h])
+        assert field.restrict_label(h) == row
 
 
 @pytest.mark.parametrize("build, shape", [
