@@ -62,7 +62,7 @@ def conductor_cap():
 # literal grammar: tokens and recursive descent
 # ---------------------------------------------------------------------------
 
-class LiteralError(ValueError):
+class LiteralError(InputError):
     """A literal failed to parse; the message carries the column."""
 
     def __init__(self, text, pos, message):
@@ -96,7 +96,7 @@ def _tokenize(text):
 class _Parser:
     """Shared expression parser; the domain supplies values and operations.
 
-    expr   := sign* term ((+|-) sign* term)*
+    expr   := sign* term ((+|-) term)*
     term   := factor ((*|/) factor)*
     factor := primary (^ int)?
     primary:= int | name | ( expr )
@@ -111,7 +111,10 @@ class _Parser:
     def parse(self):
         if not self.tokens:
             raise LiteralError(self.text, 0, "empty expression")
-        value = self._expr()
+        try:
+            value = self._expr()
+        except RecursionError:
+            raise LiteralError(self.text, 0, "expression nested too deeply") from None
         if self.k < len(self.tokens):
             _, tok, pos = self.tokens[self.k]
             raise LiteralError(self.text, pos, f"unexpected {tok!r}")
@@ -375,6 +378,8 @@ def parse_structure_file(text, max_group_order=DEFAULT_GROUP_ORDER_CAP):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"line {e.lineno} column {e.colno}: {e.msg}")
+    except RecursionError:
+        raise InputError("structure file nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError("a structure file is a JSON object")
 
@@ -434,12 +439,9 @@ def parse_structure_file(text, max_group_order=DEFAULT_GROUP_ORDER_CAP):
                 raise InputError(f"{where}: field {key!r} must be {what}")
         try:
             label = group.element_from_word(term["label"])
-        except ValueError as e:
-            raise InputError(f"{where}: {e}")
-        try:
             expo = parse_monomial(term["poly"], dim)
             coeff = parse_scalar(term["coeff"], conductor)
-        except LiteralError as e:
+        except ValueError as e:
             raise InputError(f"{where}: {e}")
         wedge = term["wedge"]
         if not all(_is_int(i) and 0 <= i < dim for i in wedge):
@@ -467,11 +469,8 @@ def parse_structure_file(text, max_group_order=DEFAULT_GROUP_ORDER_CAP):
             raise InputError("field 'reality_swap' must be a permutation "
                              f"of 0..{dim - 1}")
         swap = tuple(swap)
-    try:
-        return StructurePair(group, pi=pi, b=b, w_pi=weights[0], w_b=weights[1],
-                             reality_swap=swap)
-    except (UnsupportedStructureError, ValueError) as e:
-        raise InputError(str(e))
+    return StructurePair(group, pi=pi, b=b, w_pi=weights[0], w_b=weights[1],
+                         reality_swap=swap)
 
 
 def term_entries(field):
@@ -608,13 +607,7 @@ def _text_check_bg(data):
 
 
 def cmd_solve_b(args):
-    pair = _load_pair(args)
-    try:
-        result = pbw.solve_b(pair)
-    except InvarianceError:     # a ValueError that main reports as a verdict
-        raise
-    except ValueError as e:
-        raise InputError(str(e))
+    result = pbw.solve_b(_load_pair(args))
     if not result.feasible:
         return 1, {"solvable": False, "certificates": list(result.certificates)}
     solved = result.pair
@@ -691,10 +684,7 @@ def _check_star_n(n):
 
 def cmd_star(args):
     _check_star_n(args.n)
-    try:
-        values = [parse_star_expression(text, args.n) for text in args.expr]
-    except LiteralError as e:
-        raise InputError(str(e))
+    values = [parse_star_expression(text, args.n) for text in args.expr]
     product = values[0]
     for value in values[1:]:
         product = qmoyal.star(product, value)
@@ -708,10 +698,7 @@ def _text_star(data):
 
 def cmd_center(args):
     _check_star_n(args.n)
-    try:
-        seed = parse_star_expression(args.expr, args.n)
-    except LiteralError as e:
-        raise InputError(str(e))
+    seed = parse_star_expression(args.expr, args.n)
     try:
         lifted = qmoyal.center_lift(seed, args.n, route=args.route)
     except (qmoyal.NotInvariantError, qmoyal.StarError) as e:
@@ -939,7 +926,7 @@ def main(argv=None):
         if args.max_group_order < 1:
             raise InputError("--max-group-order must be a positive integer")
         code, data = args.handler(args)
-    except InputError as e:
+    except (InputError, UnsupportedStructureError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InvarianceError as e:

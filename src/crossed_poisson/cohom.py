@@ -25,7 +25,7 @@ once more to each image of C^0.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement
 
 from .scalars import Cyclotomic
 from .linalg import Span, add_into
@@ -53,8 +53,18 @@ class NotPoissonError(ValueError):
 def _monomials(m, cap):
     """Exponent tuples in m variables of total degree <= cap, by degree and
     then lexicographically."""
-    return sorted((e for e in product(range(cap + 1), repeat=m) if sum(e) <= cap),
-                  key=lambda e: (sum(e), e))
+    # sorted index multisets, never the (cap+1)^m box; within a degree they
+    # come in descending lex order of their exponents, hence the reversal
+    out = []
+    for deg in range(cap + 1):
+        block = []
+        for idx in combinations_with_replacement(range(m), deg):
+            expo = [0] * m
+            for i in idx:
+                expo[i] += 1
+            block.append(tuple(expo))
+        out += reversed(block)
+    return out
 
 
 _NOT_SQUARE_ZERO = "the assembled differential does not square to zero"
@@ -97,6 +107,7 @@ class TruncatedComplex:
         self.k = k
         self.d = d
         self.poly_cap = d + 1
+        self.monomials = _monomials(self.group.dim, self.poly_cap)
         self.bases, self.degrees, self.images = [], [], []
         for j in range(max(k - 1, 0), k + 1):
             _, fields, degs, span = invariant_basis(self.group, partial(self._seeds, j))
@@ -127,9 +138,8 @@ class TruncatedComplex:
         # so pr kills every seed at this label
         if group.geometry(h).codim > j:
             return
-        monomials = _monomials(group.dim, self.poly_cap)
         for wedge in combinations(range(group.dim), j):
-            for expo in monomials:
+            for expo in self.monomials:
                 # pr commutes with the group action, so projecting the seed
                 # first skips the sums of seeds pr kills
                 yield pr(PolyVectorField.single(group, h, expo, wedge, 1)), sum(expo)

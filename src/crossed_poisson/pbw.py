@@ -28,6 +28,7 @@ from .polyvec import (
     BracketEngine,
     InvarianceError,
     PolyVectorField,
+    UnsupportedStructureError,
     invariant_basis,
     is_invariant,
     koszul_differential,
@@ -529,8 +530,8 @@ def solve_b(pair):
     group = pair.group
     base = pair.with_b(None)
     if pair.w_b != 2 * pair.w_pi:
-        raise ValueError("solve_b needs w_b == 2*w_pi; otherwise the "
-                         "self-bracket of pi cannot be matched by b")
+        raise UnsupportedStructureError("solve_b needs w_b == 2*w_pi; otherwise the "
+                                        "self-bracket of pi cannot be matched by b")
 
     bg1_bad = sorted(koszul_differential(base.pi).labels())
     if bg1_bad:

@@ -468,3 +468,100 @@ def test_solve_b_reports_non_invariant_pi(invoke):
     assert code == 1
     assert json.loads(out) == {"command": "solve-b", "invariant": False,
                                "error": message}
+
+
+def test_a_file_path_reads_like_stdin(invoke, tmp_path):
+    _, emitted, _ = invoke(["catalog", "gamma_n", "--n", "1", "--c0", "1"])
+    path = tmp_path / "gamma1.json"
+    path.write_text(emitted, encoding="utf-8")
+    from_stdin = invoke(["check-bg"], stdin=emitted)
+    assert from_stdin[0] == 0 and "verdict: pass" in from_stdin[1]
+    assert invoke(["check-bg", str(path)]) == from_stdin
+    missing = tmp_path / "missing.json"
+    code, out, err = invoke(["check-bg", str(missing)])
+    assert code == 2 and not out
+    assert err.startswith(f"error: cannot read {missing}: ")
+
+
+def _z2_file(mutate=None):
+    doc = json.loads(emit_structure_file(catalog.z2_constant(1).structure))
+    if mutate is not None:
+        mutate(doc)
+    return json.dumps(doc)
+
+
+def _first_term(**fields):
+    return lambda doc: doc["structure"][0].update(fields)
+
+
+_LINEAR_TRIVECTOR = json.dumps({
+    "conductor": 1, "dimension": 3,
+    "generators": [[[-1, 0, 0], [0, -1, 0], [0, 0, 1]]],
+    "structure": [{"label": "e", "poly": "x2", "wedge": [0, 1, 2], "coeff": "1"}]})
+
+
+@pytest.mark.parametrize("argv, stdin, env, message", [
+    (["check-bg"], "[]", None, "a structure file is a JSON object"),
+    (["check-bg"], _z2_file(lambda d: d.update(conductor=0)), None,
+     "field 'conductor' must be a positive integer"),
+    (["check-bg"], _z2_file(lambda d: d["generators"][0][0].__setitem__(0, "1/0")),
+     None, "generator 0: column 2: division by zero in '1/0'"),
+    (["check-bg"], _z2_file(lambda d: d["structure"].__setitem__(0, 3)), None,
+     "structure term 0 must be an object"),
+    (["check-bg"], _z2_file(lambda d: d["structure"][0].pop("coeff")), None,
+     "structure term 0: missing field 'coeff'"),
+    (["check-bg"], _z2_file(_first_term(wedge="01")), None,
+     "structure term 0: field 'wedge' must be a list of indices"),
+    (["check-bg"], _LINEAR_TRIVECTOR, None, "pi must be linear with wedge degree 2"),
+    (["cohomology", "--degree", "0", "--polydeg", "-1"], _z2_file(), None,
+     "--polydeg must be nonnegative"),
+    (["catalog", "z2_r3_linear"], None, None, "z2_r3_linear needs --variant 1 or 2"),
+    (["catalog", "gamma_n", "--n", "1"], None, None, "gamma_n needs --n and --c0"),
+    (["catalog", "cyclic_qmoyal"], None, None, "cyclic_qmoyal needs --n"),
+    (["check-bg"], _z2_file(), "0",
+     "CROSSED_POISSON_MAX_CONDUCTOR must be positive, got 0"),
+    (["star", "--n", "2", "1)"], None, None, "column 2: unexpected ')' in '1)'"),
+    (["star", "--n", "2", "z^x"], None, None,
+     "column 2: exponent must be a nonnegative integer in 'z^x'"),
+    (["star", "--n", "2", "1+"], None, None,
+     "column 3: unexpected end of expression in '1+'"),
+    (["check-bg"], _z2_file(_first_term(poly="x0^y")), None,
+     "structure term 0: column 4: expected an integer power in 'x0^y'"),
+    (["check-bg"], _z2_file(_first_term(poly="x0 x1")), None,
+     "structure term 0: column 4: expected '*' between variables in 'x0 x1'"),
+    (["check-bg"], _z2_file(_first_term(poly="")), None,
+     "structure term 0: column 1: empty monomial in ''"),
+], ids=["json-array", "conductor-0", "generator-1/0", "term-not-object",
+        "term-without-coeff", "wedge-string", "linear-trivector", "polydeg-negative",
+        "z2_r3_linear-variant", "gamma_n-c0", "cyclic_qmoyal-n", "conductor-cap-0",
+        "literal-1)", "literal-z^x", "literal-1+", "monomial-x0^y",
+        "monomial-x0-x1", "monomial-empty"])
+def test_refusals_exit_two_with_their_message(invoke, monkeypatch, argv, stdin, env,
+                                              message):
+    if env is None:
+        monkeypatch.delenv(cli.CONDUCTOR_CAP_VAR, raising=False)
+    else:
+        monkeypatch.setenv(cli.CONDUCTOR_CAP_VAR, env)
+    assert invoke(argv, stdin=stdin) == (2, "", f"error: {message}\n")
+
+
+_NESTED = "(" * 400 + "1" + ")" * 400
+
+
+@pytest.mark.parametrize("argv, stdin, message", [
+    (["check-bg"], "[" * 100_000 + "]" * 100_000,
+     "error: structure file nested too deeply\n"),
+    (["check-bg"], _z2_file(_first_term(coeff=_NESTED)),
+     "error: structure term 0: column 1: expression nested too deeply in '((("),
+    (["star", "--n", "2", _NESTED], None,
+     "error: column 1: expression nested too deeply in '((("),
+    (["center", "--n", "2", _NESTED], None,
+     "error: column 1: expression nested too deeply in '((("),
+    (["catalog", "gamma_n", "--n", "1", "--c0", _NESTED], None,
+     "error: --c0: column 1: expression nested too deeply in '((("),
+], ids=["structure-file", "coefficient", "star", "center", "catalog-c0"])
+def test_deeply_nested_input_exits_two(invoke, argv, stdin, message):
+    # past the recursion limit the readers refuse the input, not crash on it
+    code, out, err = invoke(argv, stdin=stdin)
+    assert code == 2 and not out
+    assert err.startswith(message) and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -438,3 +439,18 @@ def test_non_poisson_pair_is_rejected():
 def test_report_repr_shows_the_dimension_split():
     r = CohomologyReport(1, 2, [1, 2, 3], [1], [1, 2])
     assert "dim=2 = 3 - 1" in repr(r)
+
+
+def test_monomials_are_the_degree_bounded_box_in_degree_then_lex_order():
+    for m in range(1, 5):
+        for cap in range(6):
+            box = sorted((e for e in itertools.product(range(cap + 1), repeat=m)
+                          if sum(e) <= cap), key=lambda e: (sum(e), e))
+            assert cohom._monomials(m, cap) == box
+
+
+def test_monomials_skip_the_exponent_box():
+    # filtering the 5^10 box kept 1,001 tuples and took seconds
+    start = time.perf_counter()
+    assert len(cohom._monomials(10, 4)) == 1001
+    assert time.perf_counter() - start < 0.5
