@@ -62,12 +62,24 @@ def conductor_cap():
 # literal grammar: tokens and recursive descent
 # ---------------------------------------------------------------------------
 
+# a literal longer than this is quoted by an excerpt of this length
+_EXCERPT = 60
+
+
 class LiteralError(InputError):
-    """A literal failed to parse; the message carries the column."""
+    """A literal failed to parse; the message carries the column and the
+    text, or an excerpt of it around the column for a long text."""
 
     def __init__(self, text, pos, message):
         self.column = pos + 1
-        super().__init__(f"column {self.column}: {message} in {text!r}")
+        if len(text) <= _EXCERPT:
+            where = f"in {text!r}"
+        else:
+            start = max(0, min(pos - _EXCERPT // 2, len(text) - _EXCERPT))
+            end = start + _EXCERPT
+            where = (f"near {text[start:end]!r} "
+                     f"(characters {start + 1}-{end} of {len(text)})")
+        super().__init__(f"column {self.column}: {message} {where}")
 
 
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()])")
@@ -675,10 +687,13 @@ def _text_pbw(data):
     return lines
 
 
-def _check_star_n(n):
-    # the star subcommands compute over Q(zeta_lcm(4, n))
+def _check_star_n(n, relation=False):
+    # the star subcommands compute over Q(zeta_lcm(4, n)); the relation of
+    # center-relation needs a nontrivial group as well
     if n < 1:
         raise InputError("--n must be a positive integer")
+    if relation and n == 1:
+        raise InputError("the relation needs a nontrivial cyclic group")
     _check_conductor(lcm(4, n))
 
 
@@ -717,11 +732,8 @@ def _text_center(data):
 
 
 def cmd_center_relation(args):
-    _check_star_n(args.n)
-    try:
-        constant = qmoyal.center_relation(args.n)
-    except qmoyal.StarError as e:
-        raise InputError(str(e))
+    _check_star_n(args.n, relation=True)
+    constant = qmoyal.center_relation(args.n)
     return 0, {"n": args.n, "constant": constant.to_literal()}
 
 

@@ -23,7 +23,7 @@ from math import comb
 
 from .scalars import Cyclotomic, HScalar
 from . import linalg
-from .linalg import Terms
+from .linalg import Terms, add_into
 from .polyvec import (
     BracketEngine,
     InvarianceError,
@@ -65,25 +65,35 @@ def graded_dimension(group, max_degree):
 # ---------------------------------------------------------------------------
 
 class DeformedAlgebra:
-    """Normal-form arithmetic for the deformed crossed product of a pair."""
+    """Normal-form arithmetic for the deformed crossed product of a pair.
+
+    The rewriter works on words of int letters: x_i is i and the group
+    element g is m + g.  A reduced word is a dict
+    {(expo, label, hbar power): Cyclotomic} of nonzero values, and one
+    rewrite step is a dict {word: (hbar shift, Cyclotomic)}.  Every factor a
+    rule applies is a single power of hbar (a matrix entry at hbar^0, a
+    correction at hbar^w_pi or hbar^w_b, a unit for the swap and the group
+    law), so each term a step reaches costs one Cyclotomic product, none for
+    a unit factor, and one addition.  ``view`` turns a reduced word into the
+    {(expo, label): HScalar} terms of an NCElement.
+    """
 
     def __init__(self, pair):
         self.pair = pair
         self.group = pair.group
         self.M = pair.group.M
-        self.m = pair.group.dim
-        # corr[(i, j)] for i > j: list of (label, inserted letters, HScalar)
-        # such that x_i x_j = x_j x_i + sum inserted * label with coefficient
+        self.m = m = pair.group.dim
+        self._one = Cyclotomic.one(self.M)
+        # corr[(i, j)] for i > j: (inserted letters, hbar shift, coefficient)
+        # with x_i x_j = x_j x_i + sum coefficient hbar^shift inserted
         self._corr = {}
         for (g, e, w), c in pair.pi.terms.items():
             k, l = w
-            ins = tuple(t for t, p in enumerate(e) for _ in range(p))
-            self._corr.setdefault((l, k), []).append(
-                (g, ins, HScalar.h_power(self.M, pair.w_pi, -c)))
+            ins = tuple(t for t, p in enumerate(e) for _ in range(p)) + (m + g,)
+            self._corr.setdefault((l, k), []).append((ins, pair.w_pi, -c))
         for (g, e, w), c in pair.b.terms.items():
             k, l = w
-            self._corr.setdefault((l, k), []).append(
-                (g, (), HScalar.h_power(self.M, pair.w_b, -c)))
+            self._corr.setdefault((l, k), []).append(((m + g,), pair.w_b, -c))
         self._memo = {}
         self._rows = {}
 
@@ -106,25 +116,80 @@ class DeformedAlgebra:
             return self.zero()
         return NCElement(self, {(tuple(expo), gi): coeff})
 
+    # -- words and their views ---------------------------------------------
+
+    def word(self, letters):
+        """The int word of ('x', i) / ('g', gi) letters."""
+        m = self.m
+        return tuple(i if kind == "x" else m + i for kind, i in letters)
+
+    def view(self, reduced):
+        """The {(expo, label): HScalar} terms of a reduced word."""
+        by_key = {}
+        for (e, g, p), c in reduced.items():
+            by_key.setdefault((e, g), {})[p] = c
+        zero = Cyclotomic.zero(self.M)
+        return {key: HScalar(self.M, [parts.get(j, zero) for j in range(max(parts) + 1)])
+                for key, parts in by_key.items()}
+
     # -- the rewriter ------------------------------------------------------
 
     def row(self, g, i):
-        """The right side of g x_i = sum_j M(g)[i][j] x_j g as a tuple of
-        (('x', j), HScalar) over the nonzero entries, built once per (g, i)."""
+        """The nonzero entries (j, c) of g x_i = sum_j c x_j g, built once per
+        (g, i); an entry equal to 1 is the field's one, so that a unit
+        factor is known by identity."""
         hit = self._rows.get((g, i))
         if hit is None:
+            one = self._one
             hit = self._rows[(g, i)] = tuple(
-                (("x", j), HScalar.const(c))
-                for j, c in enumerate(self.group.matrix(g)[i]) if not c.is_zero())
+                (j, one if c == one else c)
+                for j, c in enumerate(self.group.matrix(g)[i]) if c)
         return hit
 
-    def reduce_letters(self, letters):
-        """Normal-form expansion of a word of ('x', i) / ('g', gi) letters.
+    def step(self, word, k):
+        """Apply the (unique) rewrite rule at position k once.
 
-        Returns a dict {(expo, label): HScalar}.  The strategy rewrites the
-        leftmost reducible adjacent pair first, by the one rule function
-        _one_step that overlap_confluence applies too; results are memoized
-        since distinct reduction branches reconverge on shared subwords.
+        Returns {word: (hbar shift, Cyclotomic)}; the words are distinct.
+        The caller guarantees that the pair at k is a redex: g g (the group
+        law), g x (moving the group letter right) or x_i x_j with i > j
+        (the swap and its corrections).
+        """
+        m = self.m
+        a, b = word[k], word[k + 1]
+        head, tail = word[:k], word[k + 2:]
+        if a >= m:
+            if b >= m:
+                return {head + (m + self.group.mul[a - m][b - m],) + tail: (0, self._one)}
+            tail = (a,) + tail
+            return {head + (j,) + tail: (0, c) for j, c in self.row(a - m, b)}
+        out = {head + (b, a) + tail: (0, self._one)}
+        for ins, shift, c in self._corr.get((a, b), ()):
+            out[head + ins + tail] = (shift, c)
+        return out
+
+    def reduce_steps(self, steps):
+        """The reduced word of a step's weighted sum of words."""
+        out = {}
+        one = self._one
+        for w, (shift, c) in steps.items():
+            src = self.reduce_letters(w)
+            if c is one and not shift:
+                for key, v in src.items():
+                    add_into(out, key, v)
+                continue
+            for (e, g, p), v in src.items():
+                add_into(out, (e, g, p + shift), v if c is one else v * c)
+        return out
+
+    def reduce_letters(self, word):
+        """Normal-form expansion of an int word, as a reduced word.
+
+        The strategy rewrites the leftmost reducible adjacent pair first, by
+        the one rule function ``step`` that overlap_confluence applies too;
+        results are memoized since distinct reduction branches reconverge on
+        shared subwords.  A letter a at k is a redex with the next letter b
+        when a is a group letter or a > b: a group letter is larger than
+        every x, so an x is never a redex with a group letter after it.
 
         The memo factors out a trailing group letter h: the leftmost strategy
         reaches the pair (..., h) last, so a word w h reduces to the normal
@@ -132,49 +197,31 @@ class DeformedAlgebra:
         by h permutes the labels, so no terms merge.  Only w is memoized, and
         words that differ only in their last label share its reduction.
         """
-        letters = tuple(letters)
-        if len(letters) > 1 and letters[-1][0] == "g":
-            mul, h = self.group.mul, letters[-1][1]
-            return {(e, mul[g][h]): c
-                    for (e, g), c in self.reduce_letters(letters[:-1]).items()}
-        hit = self._memo.get(letters)
+        m = self.m
+        if len(word) > 1 and word[-1] >= m:
+            mul, h = self.group.mul, word[-1] - m
+            return {(e, mul[g][h], p): c
+                    for (e, g, p), c in self.reduce_letters(word[:-1]).items()}
+        hit = self._memo.get(word)
         if hit is not None:
             return hit
-        for k in range(len(letters) - 1):
-            a, b = letters[k], letters[k + 1]
-            # g g, g x and x_i x_j with i > j are the redexes
-            if a[0] == "g" or (b[0] == "x" and a[1] > b[1]):
-                out = _reduce_sum(self, _one_step(self, letters, k))
+        for k in range(len(word) - 1):
+            a = word[k]
+            if a >= m or a > word[k + 1]:
+                out = self.reduce_steps(self.step(word, k))
                 break
         else:
             # no redex: ascending x's followed by at most one group letter
-            e = [0] * self.m
+            e = [0] * m
             label = 0
-            for a in letters:
-                if a[0] == "x":
-                    e[a[1]] += 1
+            for a in word:
+                if a < m:
+                    e[a] += 1
                 else:
-                    label = a[1]
-            out = {(tuple(e), label): HScalar.one(self.M)}
-        self._memo[letters] = out
+                    label = a - m
+            out = {(tuple(e), label, 0): self._one}
+        self._memo[word] = out
         return out
-
-
-def _accumulate(dst, src, factor):
-    """Add factor times src into dst; a unit factor is not multiplied out,
-    and a factor of hbar degree 0 scales each part by its one coefficient."""
-    if len(factor.parts) == 1:
-        c = factor.parts[0]
-        if c == Cyclotomic.one(factor.M):
-            for key, val in src.items():
-                linalg.add_into(dst, key, val)
-        else:
-            for key, val in src.items():
-                linalg.add_into(dst, key,
-                                HScalar(val.M, [a * c if a else a for a in val.parts]))
-        return
-    for key, val in src.items():
-        linalg.add_into(dst, key, val * factor)
 
 
 class NCElement(Terms):
@@ -204,14 +251,16 @@ class NCElement(Terms):
         if not isinstance(other, NCElement):
             return NotImplemented
         alg = self.algebra
+        m = alg.m
         out = {}
         for (ea, ga), ca in self.terms.items():
-            lead = tuple(("x", i) for i, p in enumerate(ea) for _ in range(p))
+            lead = tuple(i for i, p in enumerate(ea) for _ in range(p)) + (m + ga,)
             for (eb, gb), cb in other.terms.items():
-                word = (lead + (("g", ga),)
-                        + tuple(("x", i) for i, p in enumerate(eb) for _ in range(p))
-                        + (("g", gb),))
-                _accumulate(out, alg.reduce_letters(word), ca * cb)
+                word = (lead + tuple(i for i, p in enumerate(eb) for _ in range(p))
+                        + (m + gb,))
+                c = ca * cb
+                for key, v in alg.view(alg.reduce_letters(word)).items():
+                    add_into(out, key, v * c)
         return self._like(out)
 
     def sorted_items(self):
@@ -236,7 +285,7 @@ def normal_form(pair, letters):
     an NCElement over a fresh DeformedAlgebra.
     """
     alg = DeformedAlgebra(pair)
-    return NCElement(alg, alg.reduce_letters(tuple(letters)))
+    return NCElement(alg, alg.view(alg.reduce_letters(alg.word(letters))))
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +323,28 @@ def _residues_by_label(field, weight):
     return {(gi, weight): field.restrict_label(gi) for gi in field.labels()}
 
 
+def _at_labels(field, labels):
+    return field._like({k: v for k, v in field.terms.items() if k[0] in labels})
+
+
+def _bg_residues(pair, engine, labels):
+    """The residue maps (bg1, bg2, bg3) of check_bg at the given labels only:
+    the differential keeps labels and the bracket skips every product whose
+    label falls outside them."""
+    pi, b = _at_labels(pair.pi, labels), _at_labels(pair.b, labels)
+    bg1 = _residues_by_label(koszul_differential(pi), pair.w_pi)
+    Q = engine.bracket(pair.pi, labels)
+    D = koszul_differential(b)
+    if pair.w_b == 2 * pair.w_pi:
+        R = Q - D.scale(Cyclotomic.rational(pair.group.M, 2))
+        bg2 = _residues_by_label(R, pair.w_b)
+    else:
+        bg2 = _residues_by_label(Q, 2 * pair.w_pi)
+        bg2.update(_residues_by_label(D, pair.w_b))
+    bg3 = _residues_by_label(engine.bracket(pair.b, labels), pair.w_pi + pair.w_b)
+    return bg1, bg2, bg3
+
+
 def check_bg(pair):
     """Check the bracket-side flatness conditions of a structure pair.
 
@@ -284,22 +355,24 @@ def check_bg(pair):
          which this check agrees with overlap_confluence.
     bg3: the mixed bracket of b with pi vanishes.
 
-    The pair must be invariant; InvarianceError otherwise.
+    The pair must be invariant; InvarianceError otherwise.  Each residue is
+    then an equivariant image of invariant data, so it vanishes at every
+    label exactly when it vanishes at one representative per conjugacy
+    class.  The residues are computed at the representatives first; a pair
+    that passes there passes, and only a failing pair has its residues
+    computed at the other labels too, so a report holds them at every label.
     """
     if not pair.is_invariant():
         raise InvarianceError("structure pair is not group-invariant")
-    bg1 = _residues_by_label(koszul_differential(pair.pi), pair.w_pi)
+    group = pair.group
+    reps = {cls[0] for cls in group.conjugacy_classes()}
     engine = BracketEngine(pair.pi)
-    Q = engine.bracket(pair.pi)
-    D = koszul_differential(pair.b)
-    if pair.w_b == 2 * pair.w_pi:
-        R = Q - D.scale(Cyclotomic.rational(pair.group.M, 2))
-        bg2 = _residues_by_label(R, pair.w_b)
-    else:
-        bg2 = _residues_by_label(Q, 2 * pair.w_pi)
-        bg2.update(_residues_by_label(D, pair.w_b))
-    bg3 = _residues_by_label(engine.bracket(pair.b), pair.w_pi + pair.w_b)
-    return BGReport(bg1, bg2, bg3)
+    residues = _bg_residues(pair, engine, reps)
+    if any(residues):
+        rest = _bg_residues(pair, engine, set(range(group.order)) - reps)
+        for found, more in zip(residues, rest):
+            found.update(more)
+    return BGReport(*residues)
 
 
 # ---------------------------------------------------------------------------
@@ -327,50 +400,17 @@ class ConfluenceReport:
         return f"ConfluenceReport({state}, {self.overlaps_checked} overlaps)"
 
 
-def _one_step(alg, letters, k):
-    """Apply the (unique) rewrite rule at position k once.
-
-    Returns a dict {letter word: HScalar}.  The caller guarantees that the
-    adjacent pair at k is a redex: g g (the group law), g x (moving the
-    group letter right) or x_i x_j with i > j (the swap and its corrections).
-    """
-    group = alg.group
-    a, b = letters[k], letters[k + 1]
-    out = {}
-    if a[0] == "g" and b[0] == "g":
-        out[letters[:k] + (("g", group.mul[a[1]][b[1]]),) + letters[k + 2:]] = \
-            HScalar.one(alg.M)
-    elif a[0] == "g" and b[0] == "x":
-        head, tail = letters[:k], (a,) + letters[k + 2:]
-        for x, c in alg.row(a[1], b[1]):
-            out[head + (x,) + tail] = c
-    else:
-        out[letters[:k] + (b, a) + letters[k + 2:]] = HScalar.one(alg.M)
-        for g, ins, coeff in alg._corr.get((a[1], b[1]), ()):
-            w2 = (letters[:k] + tuple(("x", t) for t in ins)
-                  + (("g", g),) + letters[k + 2:])
-            linalg.add_into(out, w2, coeff)
-    return out
-
-
-def _reduce_sum(alg, words):
-    out = {}
-    for w, c in words.items():
-        _accumulate(out, alg.reduce_letters(w), c)
-    return out
-
-
 def _overlap_words(m, g_labels):
-    """The probed critical words in report order: x_i x_j x_k (i > j > k),
-    then g x_i x_j (i > j) for g in g_labels."""
+    """The probed critical words in report order, as int words:
+    x_i x_j x_k (i > j > k), then g x_i x_j (i > j) for g in g_labels."""
     for i in range(m):
         for j in range(i):
             for k in range(j):
-                yield (("x", i), ("x", j), ("x", k))
+                yield (i, j, k)
     for g in g_labels:
         for i in range(m):
             for j in range(i):
-                yield (("g", g), ("x", i), ("x", j))
+                yield (m + g, i, j)
 
 
 def overlap_confluence(pair):
@@ -428,14 +468,14 @@ def overlap_confluence(pair):
         # every overlap word has its two redexes at positions 0 and 1
         nonlocal probed
         probed += 1
-        left = _reduce_sum(alg, _one_step(alg, word, 0))
-        right = _reduce_sum(alg, _one_step(alg, word, 1))
+        left = alg.reduce_steps(alg.step(word, 0))
+        right = alg.reduce_steps(alg.step(word, 1))
         # values are nonzero and compare structurally, so equal dicts are
         # equal elements and no difference needs to be formed
         if left == right:
             return
-        desc = " ".join(f"x{i}" if kind == "x" else group.word_str(i)
-                        for kind, i in word)
+        left, right = alg.view(left), alg.view(right)
+        desc = " ".join(f"x{a}" if a < m else group.word_str(a - m) for a in word)
         out = found[word] = []
         for key in set(left) | set(right):
             d = left.get(key, HScalar.zero(alg.M)) - right.get(key, HScalar.zero(alg.M))
@@ -443,14 +483,14 @@ def overlap_confluence(pair):
                 out.append((desc, key, d))
 
     def has_g(word):
-        return word[0][0] == "g"
+        return word[0] >= m
 
     gens = sorted({0, *group.gen_indices})
     for word in _overlap_words(m, gens):
         probe(word)
     if any(map(has_g, found)):
         for word in _overlap_words(m, range(n)):
-            if has_g(word) and word[0][1] not in gens:
+            if has_g(word) and word[0] - m not in gens:
                 probe(word)
     failures = [f for word in sorted(found, key=lambda w: (has_g(w), w))
                 for f in found[word]]
@@ -489,10 +529,6 @@ def _wedge_basis_at_label(group, gi):
     fields = (PolyVectorField.wedge2(group, gi, u, v)
               for u, v in combinations(vectors, 2))
     return [f for f in fields if f]
-
-
-def _at_labels(field, labels):
-    return field._like({k: v for k, v in field.terms.items() if k[0] in labels})
 
 
 def solve_b(pair):

@@ -296,19 +296,19 @@ def koszul_differential(X):
     """Apply, at every label gamma, p (x) w  |->  sum_k (x_k - gamma.x_k) p (x) e_k ^ w."""
     group = X.group
     m = group.dim
+    rows = {}       # label -> the nonzero entries (j, a) of each row k of 1 - G
     out = {}
     for (gi, expo, wedge), c in X.terms.items():
-        G = group.matrix(gi)
+        lines = rows.get(gi)
+        if lines is None:
+            G = group.matrix(gi)
+            one_minus = [[int(j == k) - G[k][j] for j in range(m)] for k in range(m)]
+            lines = rows[gi] = [[(j, a) for j, a in enumerate(r) if a] for r in one_minus]
         for k in range(m):
             sign, w2 = wedge_insert(k, wedge)
             if w2 is None:
                 continue
-            for j in range(m):
-                a = -G[k][j]
-                if j == k:
-                    a = a + 1
-                if not a:
-                    continue
+            for j, a in lines[k]:
                 e2 = list(expo)
                 e2[j] += 1
                 v = c * a
@@ -469,8 +469,10 @@ class BracketEngine:
             if table:
                 self.kernel[beta] = table
 
-    def bracket(self, outer):
-        """The trilinear bracket sum of the outer field against the inner one."""
+    def bracket(self, outer, labels=None):
+        """The trilinear bracket sum of the outer field against the inner one;
+        with a set of labels, only its components at those labels, every
+        product whose label alpha beta lies outside being skipped."""
         mul = self.group.mul
         terms = {}
         for (alpha, expo, w), c in outer.terms.items():
@@ -480,6 +482,8 @@ class BracketEngine:
                 entries = table.get(pq)
                 if entries:
                     label = row[beta]
+                    if labels is not None and label not in labels:
+                        continue
                     for tri, k in entries.items():
                         add_into(terms, (label, expo, tri), c * k)
         return outer._like(terms)

@@ -7,7 +7,8 @@ cohomology comparison, dense matrix helpers, the normal space as the
 complement under the group-averaged hermitian form, a Fraction-only model of
 cyclotomic arithmetic, a slot-by-slot evaluator of the trilinear bracket, the
 label-wise projection as a transform, a filter and a transform back, the
-rewriting of words and critical overlaps without a memo, the
+rewriting of words and critical overlaps without a memo, by a one-step rule
+of their own, the bracket-side flatness conditions at every label, the
 constant-correction system over every group element, kernels and inverses read
 off the reduced echelon form, the cohomology basis seeded at every label, and
 cohomology read off the coordinate matrices of the whole complex.  The engine
@@ -28,10 +29,10 @@ from crossed_poisson.linalg import (
     solve,
 )
 from crossed_poisson.pbw import (
-    DeformedAlgebra,
+    BGReport,
     SolveBResult,
-    _one_step,
     _wedge_basis_at_label,
+    check_bg,
     solve_b,
 )
 from crossed_poisson.polyvec import (
@@ -545,44 +546,90 @@ def reference_pr(X):
 
 # -- rewriting without a memo ------------------------------------------------------
 #
-# The engine's reduce_letters memoizes every word and factors a trailing group
-# letter out of the memo; the overlap probe compares the two sides before it
-# forms any difference.  These are the same computations done plainly: every
-# word reduced afresh by its leftmost redex, and a difference formed and a
-# description written at every key of every overlap.
+# The engine's reduce_letters works on int words with hbar-graded keys,
+# memoizes every word and factors a trailing group letter out of the memo;
+# the overlap probe compares the two sides before it forms any difference.
+# These are the same computations done plainly, on ('x', i) / ('g', gi)
+# letters with HScalar coefficients and a one-step rule of their own, read
+# off the three relations: every word reduced afresh by its leftmost redex,
+# and a difference formed and a description written at every key of every
+# overlap.
 
-def _reduce_plainly(alg, word):
-    for k in range(len(word) - 1):
+class _Relations:
+    """The defining relations of a pair's deformed crossed product:
+
+    * g h = (g h) for group letters,
+    * g x_i = sum_j M(g)[i][j] x_j g,
+    * x_i x_j = x_j x_i - hbar^w_pi sum pi_g(x_j, x_i) g
+                        - hbar^w_b  sum b_g(x_j, x_i) g   for i > j,
+
+    where a term c x_t e_k ^ e_l (k < l) of pi at g gives pi_g(x_k, x_l) the
+    summand c x_t, and likewise for the constant b."""
+
+    def __init__(self, pair):
+        self.group = pair.group
+        self.M = pair.group.M
+        self.m = pair.group.dim
+        self.swap = {}      # (i, j), i > j -> [(inserted letters, HScalar)]
+        for field, weight in ((pair.pi, pair.w_pi), (pair.b, pair.w_b)):
+            for (g, expo, (k, l)), c in field.terms.items():
+                letters = tuple(("x", t) for t, p in enumerate(expo) for _ in range(p))
+                self.swap.setdefault((l, k), []).append(
+                    (letters + (("g", g),), HScalar.h_power(self.M, weight, -c)))
+
+    @staticmethod
+    def is_redex(a, b):
+        return a[0] == "g" or (b[0] == "x" and a[1] > b[1])
+
+    def rewrite(self, word, k):
+        """The words and HScalar coefficients that the redex at k rewrites to."""
         a, b = word[k], word[k + 1]
-        if a[0] == "g" or (b[0] == "x" and a[1] > b[1]):
-            out = {}
-            for w, c in _one_step(alg, word, k).items():
-                for key, v in _reduce_plainly(alg, w).items():
-                    add_into(out, key, v * c)
-            return out
-    expo = [0] * alg.m
-    label = 0
-    for kind, i in word:
-        if kind == "x":
-            expo[i] += 1
-        else:
-            label = i
-    return {(tuple(expo), label): HScalar.one(alg.M)}
+        head, tail = word[:k], word[k + 2:]
+        one = HScalar.one(self.M)
+        if a[0] == "g" and b[0] == "g":
+            return [(head + (("g", self.group.mul[a[1]][b[1]]),) + tail, one)]
+        if a[0] == "g":
+            row = self.group.matrix(a[1])[b[1]]
+            return [(head + (("x", j), a) + tail, HScalar.const(c))
+                    for j, c in enumerate(row) if c]
+        return [(head + (b, a) + tail, one)] + [
+            (head + ins + tail, c) for ins, c in self.swap.get((a[1], b[1]), ())]
+
+    def reduce(self, word):
+        for k in range(len(word) - 1):
+            if self.is_redex(word[k], word[k + 1]):
+                return self.reduce_rewrite(word, k)
+        expo = [0] * self.m
+        label = 0
+        for kind, i in word:
+            if kind == "x":
+                expo[i] += 1
+            else:
+                label = i
+        return {(tuple(expo), label): HScalar.one(self.M)}
+
+    def reduce_rewrite(self, word, k):
+        """The normal form of the words the redex at k rewrites to."""
+        out = {}
+        for w, c in self.rewrite(word, k):
+            for key, v in self.reduce(w).items():
+                add_into(out, key, v * c)
+        return out
 
 
 def reference_reduce_letters(pair, word):
     """Normal-form expansion {(expo, label): HScalar} of a word of ('x', i) /
-    ('g', gi) letters: the leftmost redex rewritten by pbw._one_step, with no
+    ('g', gi) letters: the leftmost redex rewritten by the relations, with no
     memo and no relabelling shortcut."""
-    return _reduce_plainly(DeformedAlgebra(pair), tuple(word))
+    return _Relations(pair).reduce(tuple(word))
 
 
 def reference_overlap_confluence(pair):
     """(failures, overlaps checked) of the three critical overlap families,
     each side reduced plainly and each difference formed key by key."""
-    alg = DeformedAlgebra(pair)
-    m, group = alg.m, alg.group
-    zero = HScalar.zero(alg.M)
+    rel = _Relations(pair)
+    m, group = rel.m, rel.group
+    zero = HScalar.zero(rel.M)
     words = [((("x", i), ("x", j), ("x", k)), f"x{i} x{j} x{k}")
              for i in range(m) for j in range(i) for k in range(j)]
     words += [((("g", g), ("x", i), ("x", j)), f"{group.word_str(g)} x{i} x{j}")
@@ -593,16 +640,49 @@ def reference_overlap_confluence(pair):
               for i in range(m)]
     failures = []
     for word, desc in words:
-        left, right = {}, {}
-        for side, k in ((left, 0), (right, 1)):
-            for w, c in _one_step(alg, word, k).items():
-                for key, v in _reduce_plainly(alg, w).items():
-                    add_into(side, key, v * c)
+        left, right = rel.reduce_rewrite(word, 0), rel.reduce_rewrite(word, 1)
         for key in set(left) | set(right):
             d = left.get(key, zero) - right.get(key, zero)
             if d.parts:
                 failures.append((desc, key, d))
     return failures, len(words)
+
+
+# -- the bracket conditions at every label -----------------------------------------
+#
+# The engine's check_bg computes its residues at one representative per
+# conjugacy class first and at the other labels only when one fails.  This is
+# the same computation at every label at once.
+
+def reference_check_bg(pair):
+    """The BGReport of check_bg with each residue computed at every label."""
+    if not pair.is_invariant():
+        raise InvarianceError("structure pair is not group-invariant")
+
+    def by_label(field, weight):
+        return {(gi, weight): field.restrict_label(gi) for gi in field.labels()}
+
+    bg1 = by_label(koszul_differential(pair.pi), pair.w_pi)
+    engine = BracketEngine(pair.pi)
+    Q = engine.bracket(pair.pi)
+    D = koszul_differential(pair.b)
+    if pair.w_b == 2 * pair.w_pi:
+        bg2 = by_label(Q - D.scale(Cyclotomic.rational(pair.group.M, 2)), pair.w_b)
+    else:
+        bg2 = by_label(Q, 2 * pair.w_pi)
+        bg2.update(by_label(D, pair.w_b))
+    bg3 = by_label(engine.bracket(pair.b), pair.w_pi + pair.w_b)
+    return BGReport(bg1, bg2, bg3)
+
+
+def check_bg_against_reference(pair):
+    """Assert that check_bg and reference_check_bg hold the same residues,
+    label for label, and return check_bg's report."""
+    got, want = check_bg(pair), reference_check_bg(pair)
+    assert got.bg1_failures == want.bg1_failures
+    assert got.bg2_residues == want.bg2_residues
+    assert got.bg3_residues == want.bg3_residues
+    return got
 
 
 # -- solving for b per element -----------------------------------------------------

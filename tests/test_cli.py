@@ -283,6 +283,38 @@ def test_center_relation_subcommand(invoke):
     assert code == 2 and "error:" in err
 
 
+def test_center_relation_refuses_the_trivial_group_before_any_arithmetic(
+        invoke, monkeypatch):
+    def unreachable(n):
+        raise AssertionError("center_relation ran")
+
+    monkeypatch.setattr(qmoyal, "center_relation", unreachable)
+    code, out, err = invoke(["center-relation", "--n", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: the relation needs a nontrivial cyclic group\n"
+    code, _, err = invoke(["center-relation", "--n", "0"])
+    assert (code, err) == (2, "error: --n must be a positive integer\n")
+
+
+def test_literal_errors_quote_a_bounded_excerpt_of_a_long_text(invoke):
+    # up to 60 characters the text is quoted whole; past that, the 60
+    # characters around the column, with their place in the text
+    code, out, err = invoke(["star", "--n", "2", "1 + %"])
+    assert (code, out) == (2, "")
+    assert err == "error: column 5: unexpected character '%' in '1 + %'\n"
+    text = "1+" * 20000 + "%"
+    code, out, err = invoke(["star", "--n", "2", text])
+    assert (code, out) == (2, "")
+    assert err == ("error: column 40001: unexpected character '%' near "
+                   f"{text[-60:]!r} (characters 39942-40001 of 40001)\n")
+    middle = "1+" * 100 + "%" + "+1" * 100
+    code, _, err = invoke(["star", "--n", "2", middle])
+    assert code == 2
+    assert err == ("error: column 201: unexpected character '%' near "
+                   f"{middle[170:230]!r} (characters 171-230 of 401)\n")
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize("argv", [
     ["star", "--n", "100000", "Z"],
     ["center", "--n", "300", "Z*Zb"],
@@ -552,16 +584,18 @@ _NESTED = "(" * 400 + "1" + ")" * 400
     (["check-bg"], "[" * 100_000 + "]" * 100_000,
      "error: structure file nested too deeply\n"),
     (["check-bg"], _z2_file(_first_term(coeff=_NESTED)),
-     "error: structure term 0: column 1: expression nested too deeply in '((("),
+     "error: structure term 0: column 1: expression nested too deeply near '((("),
     (["star", "--n", "2", _NESTED], None,
-     "error: column 1: expression nested too deeply in '((("),
+     "error: column 1: expression nested too deeply near '((("),
     (["center", "--n", "2", _NESTED], None,
-     "error: column 1: expression nested too deeply in '((("),
+     "error: column 1: expression nested too deeply near '((("),
     (["catalog", "gamma_n", "--n", "1", "--c0", _NESTED], None,
-     "error: --c0: column 1: expression nested too deeply in '((("),
+     "error: --c0: column 1: expression nested too deeply near '((("),
 ], ids=["structure-file", "coefficient", "star", "center", "catalog-c0"])
 def test_deeply_nested_input_exits_two(invoke, argv, stdin, message):
-    # past the recursion limit the readers refuse the input, not crash on it
+    # past the recursion limit the readers refuse the input, not crash on it;
+    # the 801-character literals are quoted by an excerpt
     code, out, err = invoke(argv, stdin=stdin)
     assert code == 2 and not out
     assert err.startswith(message) and err.count("\n") == 1
+    assert len(err) < 200

@@ -11,7 +11,9 @@ strategy draws pi from the exact solution space of the conditions that are
 linear in pi, bg1 and invariance, so that solve_b meets a pi it must bracket.
 On the invariant and solution-space pairs, solve_b, which works at one
 representative per conjugacy class, is compared with reference_solve_b, its
-system over every group element.
+system over every group element.  Every check_bg report, which is computed at
+the representatives first, is compared residue for residue with
+reference_check_bg, its computation at every label.
 The symplectic reflection algebras of S4 and B3, the largest groups here, are
 checked on fixed flat and non-flat members.
 """
@@ -33,8 +35,8 @@ from crossed_poisson.polyvec import (
     pr,
 )
 from crossed_poisson.scalars import Cyclotomic, root_of_unity
-from conftest import permutation_group_on_doubled_space
-from oracles import reference_pr, solve_b_against_reference
+from conftest import conjugated_s3_pair, permutation_group_on_doubled_space
+from oracles import check_bg_against_reference, reference_pr, solve_b_against_reference
 
 MAX_ORDER = 12
 
@@ -137,11 +139,11 @@ def rescaled_catalog_pairs(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(invariant_pairs(), rescaled_catalog_pairs()))
 def test_flatness_routes_agree_on_generated_pairs(pair):
-    assert pbw.check_bg(pair).passed == pbw.overlap_confluence(pair).ok
+    assert check_bg_against_reference(pair).passed == pbw.overlap_confluence(pair).ok
     if pair.w_b == 2 * pair.w_pi:
         result = pbw.solve_b(pair)
         if result.feasible:
-            assert pbw.check_bg(result.pair).passed
+            assert check_bg_against_reference(result.pair).passed
             assert pbw.overlap_confluence(result.pair).ok
 
 
@@ -194,10 +196,10 @@ def test_flatness_routes_agree_on_solution_space_pairs():
               suppress_health_check=[HealthCheck.too_slow])
     @given(solution_space_pairs())
     def check(pair):
-        assert pbw.check_bg(pair).passed == pbw.overlap_confluence(pair).ok
+        assert check_bg_against_reference(pair).passed == pbw.overlap_confluence(pair).ok
         result = pbw.solve_b(pair)
         if result.feasible:
-            assert pbw.check_bg(result.pair).passed
+            assert check_bg_against_reference(result.pair).passed
             assert pbw.overlap_confluence(result.pair).ok
             outcomes.add("zero b" if result.pair.b.is_zero() else "nonzero b")
         else:
@@ -245,10 +247,29 @@ def test_flatness_routes_agree_on_symplectic_reflection_pairs(n, signed):
     verdicts = []
     for b in (pair.b, pair.b.scale(Cyclotomic.rational(group.M, -3)), pair.b + extra):
         member = StructurePair(group, b=b, w_pi=pair.w_pi, w_b=pair.w_b)
-        passed = pbw.check_bg(member).passed
+        passed = check_bg_against_reference(member).passed
         assert passed == pbw.overlap_confluence(member).ok
         verdicts.append(passed)
     assert verdicts == [True, True, False]
+
+
+def test_check_bg_reports_residues_at_every_member_of_a_class():
+    # the conjugated S3 pair with an invariant constant field added at the
+    # transpositions, a class of three: d(b) no longer vanishes there, and the
+    # report must hold the residues at the two members that are no
+    # representative as well, as the every-label reference computes them
+    pair = conjugated_s3_pair()
+    group = pair.group
+    reps = {cls[0] for cls in group.conjugacy_classes()}
+    cls = next(c for c in group.conjugacy_classes() if len(c) == 3)
+    extra = average(PolyVectorField.single(group, cls[0], (0,) * group.dim, (1, 4), 1))
+    member = pair.with_b(pair.b + extra)
+    report = check_bg_against_reference(member)
+    assert not report.passed
+    assert not pbw.overlap_confluence(member).ok
+    labels = {gi for gi, _ in report.bg2_residues}
+    assert labels & reps and labels - reps
+    assert set(cls) <= labels
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,

@@ -393,8 +393,9 @@ def test_solve_b_system_has_rows_and_columns_at_representatives_only(monkeypatch
 
 # -- one rule function for both rewriting paths ----------------------------------
 
-def _is_redex(a, b):
-    return a[0] == "g" or (a[0] == b[0] == "x" and a[1] > b[1])
+def _is_redex(m, a, b):
+    # int letters: x_i is i, the group element g is m + g
+    return a >= m or (b < m and a > b)
 
 
 @pytest.mark.parametrize("build", [
@@ -413,12 +414,13 @@ def test_every_redex_position_reaches_the_normal_form(build):
     rng = random.Random(2024)
     later = 0       # redexes right of the leftmost one
     for _ in range(60):
-        word = tuple(rng.choice(letters) for _ in range(rng.randint(3, 5)))
+        word = alg.word(rng.choice(letters) for _ in range(rng.randint(3, 5)))
         expect = alg.reduce_letters(word)
         assert all(v for v in expect.values())
-        redexes = [k for k in range(len(word) - 1) if _is_redex(word[k], word[k + 1])]
+        redexes = [k for k in range(len(word) - 1)
+                   if _is_redex(m, word[k], word[k + 1])]
         for k in redexes:
-            got = pbw._reduce_sum(alg, pbw._one_step(alg, word, k))
+            got = alg.reduce_steps(alg.step(word, k))
             assert got == expect, (word, k)
         later += max(len(redexes) - 1, 0)
     assert later >= 20
@@ -448,6 +450,13 @@ def _random_invariant_pair(group, seed, w_pi, w_b):
     return StructurePair(group, pi=average(pi), b=average(b), w_pi=w_pi, w_b=w_b)
 
 
+def _gamma_n_1_with_b_at_weight_3():
+    # w_b = 3, not 2 w_pi: a word's terms two degrees down carry hbar^2 from
+    # two corrections by pi and hbar^3 from one by b, at the same keys
+    pair = catalog.gamma_n_family(1, 1).structure
+    return StructurePair(pair.group, pi=pair.pi, b=pair.b, w_pi=1, w_b=3)
+
+
 def _non_invariant_on_gamma_n():
     # pi at the identity only, on the non-abelian order-10 group: conjugating
     # by a group letter moves it, so the g x_i x_j overlaps fail
@@ -462,11 +471,12 @@ REFERENCE_PAIRS = [
     (lambda: _without_b(catalog.gamma_n_family(1, 1)), False),
     (lambda: _b_scaled(catalog.gamma_n_family(2, 1), 2), False),
     (_non_invariant_on_gamma_n, False),
+    (_gamma_n_1_with_b_at_weight_3, False),
     *[(lambda w=w, seed=seed: _random_invariant_pair(gamma1_group(), seed, *w), None)
       for w in ((1, 1), (1, 3), (2, 2)) for seed in (1, 2)],
 ]
 REFERENCE_IDS = (["heisenberg", "gamma_n_1", "z2_r3_linear", "gamma_n_1_without_b",
-                  "gamma_n_2_b_times_2", "non_invariant_gamma_n_2"]
+                  "gamma_n_2_b_times_2", "non_invariant_gamma_n_2", "gamma_n_1_w_b_3"]
                  + [f"random_w{a}{b}_seed{s}" for a, b in ((1, 1), (1, 3), (2, 2))
                     for s in (1, 2)])
 
@@ -481,16 +491,25 @@ def test_reductions_match_the_memo_free_reference(build, confluent):
     letters = [("x", i) for i in range(m)] + [("g", g) for g in range(order)]
     rng = random.Random(97)
     trailing = 0
+    mixed = 0       # keys whose coefficient has more than one hbar power
+    words = []
     for _ in range(50):
         head = [rng.choice(letters) for _ in range(rng.randint(1, 3))]
         head.insert(rng.randint(1, len(head)), ("g", rng.randrange(order)))
         if rng.random() < 0.7:
             head.append(("g", rng.randrange(order)))
             trailing += 1
-        word = tuple(head)
-        got = alg.reduce_letters(word)
+        words.append(tuple(head))
+    # then every word of three x's, whose corrections reach degree one twice
+    words += [(("x", i), ("x", j), ("x", k))
+              for i in range(m) for j in range(m) for k in range(m)]
+    for word in words:
+        got = alg.view(alg.reduce_letters(alg.word(word)))
         assert list(got.items()) == list(reference_reduce_letters(pair, word).items()), word
+        mixed += sum(sum(map(bool, c.parts)) > 1 for c in got.values())
     assert trailing >= 25
+    if build is _gamma_n_1_with_b_at_weight_3:
+        assert mixed
     report = overlap_confluence(pair)
     failures, checked = reference_overlap_confluence(pair)
     assert report.failures == failures
